@@ -21,7 +21,6 @@ use ddc_core::frontend::FusedFrontEnd;
 use ddc_core::mixer::FixedMixer;
 use ddc_core::nco::{CosSin, LutNco};
 use ddc_core::params::DdcConfig;
-use ddc_core::pipeline::run_pipelined;
 use ddc_core::spec::{ChainSpec, DRM_TOTAL_DECIMATION};
 use ddc_core::{chain_metrics_for, MetricsHandle};
 use ddc_dsp::firdes::quantize_taps;
@@ -254,29 +253,19 @@ fn main() {
             block_msps: blk / 1e6,
             extra: Vec::new(),
         });
-        println!(
-            "fir_seq auto-selected kernel: {} (simd feature {})",
-            fir_b.kernel_label(),
-            if cfg!(feature = "simd") { "on" } else { "off" },
-        );
+        println!("fir_seq auto-selected kernel: {}", fir_b.kernel_label());
 
         // Kernel-layout shootout: the same filter, same stimulus, with
         // each block kernel forced, racing the layouts against each
         // other. `fir_seq_*` above stays the auto-selected winner; the
         // per-variant stages are block-only (the per-sample reference
-        // path is identical for every variant). The SIMD stage exists
-        // only under `--features simd`, so it must not enter the
-        // committed baseline (the gate treats baseline-only stages as
-        // failures). The polyphase layout is not raced by default: at
-        // the DRM filter's 125 taps / R=8 shape it never wins against
-        // flat or symmetric, so its stage was pure bench time — the
-        // kernel itself stays selectable (and property-tested) for the
-        // shapes where a phase-split layout does pay.
+        // path is identical for every variant). `fir_simd` runs the
+        // AVX2 kernel only where the CPU has it and resolves to the
+        // scalar flat kernel elsewhere; the printed label says which.
         let variants: &[(ddc_core::fir::FirKernelSel, &str)] = &[
             (ddc_core::fir::FirKernelSel::Generic, "fir_generic"),
             (ddc_core::fir::FirKernelSel::Flat, "fir_flat"),
             (ddc_core::fir::FirKernelSel::Sym, "fir_sym"),
-            #[cfg(feature = "simd")]
             (ddc_core::fir::FirKernelSel::Simd, "fir_simd"),
         ];
         for &(sel, prefix) in variants {
@@ -323,6 +312,12 @@ fn main() {
             black_box(acc);
         });
         let mut ddc_b = FixedDdc::from_spec(spec.clone());
+        let kernels: Vec<String> = ddc_b
+            .stage_kernels()
+            .iter()
+            .map(|(stage, kernel)| format!("{stage}={kernel}"))
+            .collect();
+        println!("chain_{} stage kernels: {}", spec.name, kernels.join(" "));
         let mut out = Vec::with_capacity(n / spec.total_decimation() as usize + 1);
         let blk = measure(n, || {
             out.clear();
@@ -437,11 +432,6 @@ fn main() {
             ],
         });
     }
-
-    // --- Two-thread pipelined chain (block kernels both ends) -----
-    let pipelined_msps = measure(n, || {
-        black_box(run_pipelined(&cfg, &adc, 4096).len());
-    }) / 1e6;
 
     // --- Multi-channel farm: channels × cores scaling curve --------
     // Aggregate throughput = (channels × input samples) per wall-clock
@@ -756,10 +746,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"pipelined_two_thread_msps\": {:.2},\n",
-        pipelined_msps
-    ));
     json.push_str("  \"engine_scaling\": {\n");
     json.push_str(&format!("    \"host_cores\": {host_cores},\n"));
     json.push_str("    \"points\": [\n");
@@ -810,7 +796,6 @@ fn main() {
             ),
         }
     }
-    println!("pipelined (2 threads)  {pipelined_msps:>24.2} Ms/s");
     println!("farm scaling ({host_cores} host cores):");
     for p in &scaling {
         println!(

@@ -25,12 +25,9 @@
 //! * **sym** — linear-phase designs (`firdes` lowpass taps are
 //!   palindromes) fold `x[j] + x[N−1−j]` before the multiply, halving
 //!   the multiply count.
-//! * **poly** — the textbook polyphase-branch layout: each of the
-//!   `decim` branches keeps its taps and its samples contiguous
-//!   (the block is deinterleaved once per call).
-//! * **simd** — with `--features simd` on x86_64, an AVX2
-//!   widening-multiply dot product (runtime-detected, with the scalar
-//!   flat kernel as fallback).
+//! * **simd** — on x86_64, an AVX2 widening-multiply dot product,
+//!   chosen at construction time when the CPU reports AVX2; other CPUs
+//!   and targets run the scalar kernels above.
 //!
 //! All specialised kernels require the construction-time **width
 //! audit**: `Σ|h| · max|x|` (computed in `i128`) must fit `acc_bits`.
@@ -210,11 +207,9 @@ pub enum FirKernelSel {
     Generic,
     /// Forward flat dot over the linear window.
     Flat,
-    /// Polyphase branches: contiguous taps and samples per branch.
-    Poly,
     /// Symmetric-coefficient folding (linear-phase taps only).
     Sym,
-    /// AVX2 widening dot (`--features simd`, runtime-detected).
+    /// AVX2 widening dot (x86_64, runtime-detected).
     Simd,
 }
 
@@ -226,8 +221,7 @@ enum KernelKind {
     FlatConst,
     Sym,
     SymConst,
-    Poly,
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Simd,
 }
 
@@ -239,8 +233,7 @@ impl KernelKind {
             KernelKind::FlatConst => "flat_const",
             KernelKind::Sym => "sym",
             KernelKind::SymConst => "sym_const",
-            KernelKind::Poly => "poly",
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             KernelKind::Simd => "simd_avx2",
         }
     }
@@ -348,12 +341,11 @@ impl<const TAPS: usize, const DECIM: usize> FirKernel<TAPS, DECIM> {
     }
 }
 
-/// AVX2 widening dot product, compiled only with `--features simd` and
+/// AVX2 widening dot product, compiled on every x86_64 build and
 /// selected only when the CPU reports AVX2 at construction time.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
-    #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
     /// Runtime CPU check gating kernel selection.
@@ -361,8 +353,13 @@ mod simd {
         is_x86_feature_detected!("avx2")
     }
 
-    /// Safe entry point; construction guarantees [`available`] held.
+    /// Safe entry point, reachable only through `resolve_kernel`,
+    /// which hands it out after [`available`] held.
     pub fn dot(rev: &[i32], w: &[i32]) -> i64 {
+        assert_eq!(rev.len(), w.len(), "dot operands differ in length");
+        // SAFETY: the CPU has AVX2 (checked before this kernel was
+        // selected) and both slices have the same length, which is all
+        // `dot_avx2` reads.
         unsafe { dot_avx2(rev, w) }
     }
 
@@ -371,9 +368,13 @@ mod simd {
     /// 32-bit logical shift exposes the odd lanes. Partial sums cannot
     /// wrap: selection requires the width audit, which bounds every
     /// partial sum by `max_signed(acc_bits)`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `w` must be at least as long as
+    /// `rev`.
     #[target_feature(enable = "avx2")]
     unsafe fn dot_avx2(rev: &[i32], w: &[i32]) -> i64 {
-        debug_assert_eq!(rev.len(), w.len());
         let n = rev.len();
         let mut acc_even = _mm256_setzero_si256();
         let mut acc_odd = _mm256_setzero_si256();
@@ -393,40 +394,6 @@ mod simd {
             total += i64::from(rev[j]) * i64::from(w[j]);
         }
         total
-    }
-}
-
-/// Polyphase-branch layout: branch `p` owns taps `h[p], h[p+D], …`
-/// (stored reversed so the branch dot runs forward) and reads its
-/// samples from one of `D` deinterleaved class buffers, so both sides
-/// of every branch dot are contiguous.
-#[derive(Clone, Debug)]
-struct PolyLayout {
-    /// Reversed branch taps, concatenated.
-    taps: Vec<i32>,
-    /// `decim + 1` offsets into `taps`; branch `p` is
-    /// `taps[offsets[p]..offsets[p+1]]`.
-    offsets: Vec<usize>,
-    /// Per-class sample buffers, reused across blocks.
-    classes: Vec<Vec<i32>>,
-}
-
-impl PolyLayout {
-    fn new(coeffs: &[i32], decim: usize) -> Self {
-        let n = coeffs.len();
-        let mut taps = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(decim + 1);
-        offsets.push(0);
-        for p in 0..decim {
-            let branch: Vec<i32> = coeffs.iter().copied().skip(p).step_by(decim).collect();
-            taps.extend(branch.iter().rev());
-            offsets.push(taps.len());
-        }
-        PolyLayout {
-            taps,
-            offsets,
-            classes: vec![Vec::new(); decim],
-        }
     }
 }
 
@@ -461,7 +428,6 @@ pub struct SequentialFir {
     head: usize,
     /// Block scratch: carried history ++ current block.
     work: Vec<i32>,
-    poly: Option<PolyLayout>,
     decim: u32,
     phase: u32,
     data_bits: u32,
@@ -516,14 +482,12 @@ impl SequentialFir {
         let d = decim as usize;
         let requested = sel.unwrap_or_else(|| auto_select(audit_ok, symmetric));
         let (kernel, dot) = resolve_kernel(requested, audit_ok, symmetric, n, d);
-        let poly = (kernel == KernelKind::Poly).then(|| PolyLayout::new(coeffs, d));
         SequentialFir {
             coeffs: coeffs.to_vec(),
             coeffs_rev: coeffs.iter().rev().copied().collect(),
             hist: vec![0; 2 * n],
             head: n,
             work: Vec::new(),
-            poly,
             decim,
             phase: 0,
             data_bits,
@@ -545,8 +509,8 @@ impl SequentialFir {
     }
 
     /// The block kernel actually selected after fallback resolution:
-    /// `"generic"`, `"flat"`, `"flat_const"`, `"sym"`, `"sym_const"`,
-    /// `"poly"` or `"simd_avx2"`.
+    /// `"generic"`, `"flat"`, `"flat_const"`, `"sym"`, `"sym_const"` or
+    /// `"simd_avx2"`.
     pub fn kernel_label(&self) -> &'static str {
         self.kernel.label()
     }
@@ -635,10 +599,10 @@ impl SequentialFir {
         self.work = work;
         // First window closes after `decim − phase` new samples.
         let first_end = (n - 1) + (d - self.phase as usize);
-        match self.kernel {
-            KernelKind::Generic => self.emit_generic(first_end, out),
-            KernelKind::Poly => self.emit_poly(first_end, out),
-            _ => self.emit_windows(first_end, out),
+        if self.kernel == KernelKind::Generic {
+            self.emit_generic(first_end, out);
+        } else {
+            self.emit_windows(first_end, out);
         }
         let len = self.work.len();
         let (hist, work) = (&mut self.hist, &self.work);
@@ -674,36 +638,6 @@ impl SequentialFir {
         }
     }
 
-    /// Polyphase window loop: deinterleave the work buffer once into
-    /// `decim` class buffers, then every branch dot runs over
-    /// contiguous taps and contiguous samples.
-    fn emit_poly(&mut self, first_end: usize, out: &mut Vec<i64>) {
-        let d = self.decim as usize;
-        let n = self.coeffs.len();
-        let work = &self.work;
-        let poly = self.poly.as_mut().expect("poly kernel without layout");
-        for (c, buf) in poly.classes.iter_mut().enumerate() {
-            buf.clear();
-            if c < work.len() {
-                buf.extend(work[c..].iter().step_by(d));
-            }
-        }
-        let mut e = first_end;
-        while e <= work.len() {
-            let mut acc: i64 = 0;
-            for p in 0..d.min(n) {
-                let seg = &poly.taps[poly.offsets[p]..poly.offsets[p + 1]];
-                // Branch p reads work[e−1−p], work[e−1−p−d], … — all in
-                // class (e−1−p) mod d, ending at position (e−1−p) / d.
-                let top = e - 1 - p;
-                let lane_end = top / d + 1;
-                acc += dot_flat(seg, &poly.classes[top % d][lane_end - seg.len()..lane_end]);
-            }
-            out.push(saturate(trunc_shift(acc, self.coeff_frac), self.data_bits));
-            e += d;
-        }
-    }
-
     /// Resets the delay line and phase.
     pub fn reset(&mut self) {
         self.hist.fill(0);
@@ -724,15 +658,13 @@ fn width_audit_passes(coeffs: &[i32], data_bits: u32, acc_bits: u32) -> bool {
 }
 
 /// Automatic kernel choice, ordered by the measured shootout: the AVX2
-/// kernel when compiled in and detected, then the symmetric fold, then
-/// the flat dot. Poly never wins automatically on a GPP (the
-/// deinterleave pass costs more than contiguity saves at 125 taps) but
-/// stays available for the shootout.
+/// kernel when the CPU has it, then the symmetric fold, then the flat
+/// dot.
 fn auto_select(audit_ok: bool, symmetric: bool) -> FirKernelSel {
     if !audit_ok {
         return FirKernelSel::Generic;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::available() {
         return FirKernelSel::Simd;
     }
@@ -760,11 +692,11 @@ fn resolve_kernel(
     match sel {
         FirKernelSel::Generic => (KernelKind::Generic, dot_flat as DotFn),
         FirKernelSel::Simd => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if simd::available() {
                 return (KernelKind::Simd, simd::dot as DotFn);
             }
-            // SIMD-off fallback: the scalar family.
+            // No AVX2: the scalar family.
             resolve_kernel(FirKernelSel::Flat, true, symmetric, taps, decim)
         }
         FirKernelSel::Sym => {
@@ -783,7 +715,6 @@ fn resolve_kernel(
             (125, 2) => (KernelKind::FlatConst, FirKernel::<125, 2>::dot as DotFn),
             _ => (KernelKind::Flat, dot_flat as DotFn),
         },
-        FirKernelSel::Poly => (KernelKind::Poly, dot_flat as DotFn),
     }
 }
 
@@ -792,6 +723,16 @@ mod tests {
     use super::*;
     use ddc_dsp::decimate::{fir_then_decimate, fir_then_decimate_i64};
     use rand::{Rng, SeedableRng};
+
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_host() -> bool {
+        simd::available()
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn avx2_host() -> bool {
+        false
+    }
 
     #[test]
     fn direct_fir_identity() {
@@ -928,7 +869,6 @@ mod tests {
                 for sel in [
                     FirKernelSel::Generic,
                     FirKernelSel::Flat,
-                    FirKernelSel::Poly,
                     FirKernelSel::Sym,
                     FirKernelSel::Simd,
                 ] {
@@ -978,13 +918,17 @@ mod tests {
         assert_ne!(f.kernel_label(), "sym");
         assert_ne!(f.kernel_label(), "sym_const");
         assert_ne!(f.kernel_label(), "generic");
-        // Poly and the SIMD request resolve to something runnable.
-        let f = SequentialFir::with_kernel(&sym, 8, 12, 12, 34, FirKernelSel::Poly);
-        assert_eq!(f.kernel_label(), "poly");
-        let f = SequentialFir::with_kernel(&sym, 8, 12, 12, 34, FirKernelSel::Simd);
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        assert_eq!(f.kernel_label(), "flat_const");
-        let _ = f;
+        // On an AVX2 host both auto-selection and the SIMD request run
+        // the vector kernel; everywhere else they fall back to scalar.
+        let auto = SequentialFir::new(&sym, 8, 12, 12, 34);
+        let forced = SequentialFir::with_kernel(&sym, 8, 12, 12, 34, FirKernelSel::Simd);
+        if avx2_host() {
+            assert_eq!(auto.kernel_label(), "simd_avx2");
+            assert_eq!(forced.kernel_label(), "simd_avx2");
+        } else {
+            assert_eq!(auto.kernel_label(), "sym_const");
+            assert_eq!(forced.kernel_label(), "flat_const");
+        }
     }
 
     #[test]
@@ -1017,11 +961,12 @@ mod tests {
         let cfg = crate::params::DdcConfig::drm(0.0);
         let q = ddc_dsp::firdes::quantize_taps(&cfg.fir_taps, 12, 11);
         let f = SequentialFir::new(&q, 8, 12, 12, 31);
-        assert!(
-            matches!(f.kernel_label(), "sym_const" | "simd_avx2"),
-            "unexpected kernel {}",
-            f.kernel_label()
-        );
+        let expect = if avx2_host() {
+            "simd_avx2"
+        } else {
+            "sym_const"
+        };
+        assert_eq!(f.kernel_label(), expect);
     }
 
     #[test]

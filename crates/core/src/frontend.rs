@@ -14,6 +14,8 @@
 //! The fused fast path covers an order-2, unit-differential-delay CIC1
 //! (the paper's CIC2-decimate-by-16); any other front-end shape falls
 //! back to a per-sample staged loop that is bit-exact by construction.
+//! The fast path has two bodies: a scalar one, and on x86_64 an AVX2
+//! one that is chosen at run time when the CPU reports AVX2.
 //! Bit-exactness of the fast path follows from two facts:
 //!
 //! * the inlined multiply–round–clamp is the same arithmetic as
@@ -48,12 +50,7 @@ pub fn process_front_end(
     out_i: &mut Vec<i64>,
     out_q: &mut Vec<i64>,
 ) {
-    let fusable = cic_i.order() == 2
-        && cic_i.diff_delay() == 1
-        && cic_q.order() == 2
-        && cic_q.diff_delay() == 1
-        && cic_i.decimation() == cic_q.decimation();
-    if fusable {
+    if fusable(cic_i, cic_q) {
         fused_order2(nco, mixer, cic_i, cic_q, input, out_i, out_q);
     } else {
         // Staged per-sample fallback for exotic front-end shapes —
@@ -81,15 +78,10 @@ pub fn front_end_kernel_label(
     cic_i: &CicDecimator,
     cic_q: &CicDecimator,
 ) -> &'static str {
-    let fusable = cic_i.order() == 2
-        && cic_i.diff_delay() == 1
-        && cic_q.order() == 2
-        && cic_q.diff_delay() == 1
-        && cic_i.decimation() == cic_q.decimation();
-    if !fusable {
+    if !fusable(cic_i, cic_q) {
         return "staged_scalar";
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::usable(mixer, cic_i) {
         return "fused_avx2";
     }
@@ -97,7 +89,17 @@ pub fn front_end_kernel_label(
     "fused_scalar"
 }
 
-/// The fused fast path: order-2, `M == 1` CIC1 on both rails.
+/// The fused fast path covers an order-2, `M == 1` CIC1 on both rails.
+fn fusable(cic_i: &CicDecimator, cic_q: &CicDecimator) -> bool {
+    cic_i.order() == 2
+        && cic_i.diff_delay() == 1
+        && cic_q.order() == 2
+        && cic_q.diff_delay() == 1
+        && cic_i.decimation() == cic_q.decimation()
+}
+
+/// The fused fast path: the AVX2 body when the CPU and the stage widths
+/// allow it, the scalar body otherwise.
 fn fused_order2(
     nco: &mut LutNco,
     mixer: &FixedMixer,
@@ -107,10 +109,24 @@ fn fused_order2(
     out_i: &mut Vec<i64>,
     out_q: &mut Vec<i64>,
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::usable(mixer, cic_i) {
         return simd::fused_order2_avx2(nco, mixer, cic_i, cic_q, input, out_i, out_q);
     }
+    fused_order2_scalar(nco, mixer, cic_i, cic_q, input, out_i, out_q);
+}
+
+/// The scalar fused body: four-wide oscillator/mixer lanes feeding the
+/// serial integrator cascade.
+fn fused_order2_scalar(
+    nco: &mut LutNco,
+    mixer: &FixedMixer,
+    cic_i: &mut CicDecimator,
+    cic_q: &mut CicDecimator,
+    input: &[i32],
+    out_i: &mut Vec<i64>,
+    out_q: &mut Vec<i64>,
+) {
     // NCO constants and state, hoisted as in `LutNco::fill_block`.
     let addr_bits = nco.addr_bits();
     let n_shift = 32 - addr_bits;
@@ -199,7 +215,7 @@ fn fused_order2(
     cic_q.set_order2_state(aq0, aq1, dq0, dq1, cic_phase as u32);
 }
 
-/// AVX2 fused front end (`--features simd`): the mixer runs 8-wide in
+/// AVX2 fused front end (x86_64, runtime-detected): the mixer runs 8-wide in
 /// `i32` lanes (phase vector arithmetic, two table gathers, `mullo`,
 /// round-shift-clamp) and the order-2 integrator cascade over each
 /// decimation group collapses to two data-parallel reductions via
@@ -219,7 +235,7 @@ fn fused_order2(
 /// (tiny: ≤ `r²·2^{data_bits−1}`); and the final group update uses
 /// wrapping `i64` ops, over which multiplication distributes mod 2⁶⁴ —
 /// the same congruence argument as the scalar path's deferred wrap.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
     use super::comb2_output;
@@ -262,7 +278,7 @@ mod simd {
         _mm256_add_epi64(lo, hi)
     }
 
-    /// Safe wrapper: construction-time [`usable`] gate guarantees AVX2.
+    /// Safe wrapper; callers run it only after [`usable`] held.
     pub fn fused_order2_avx2(
         nco: &mut LutNco,
         mixer: &FixedMixer,
@@ -272,9 +288,17 @@ mod simd {
         out_i: &mut Vec<i64>,
         out_q: &mut Vec<i64>,
     ) {
+        // SAFETY: every caller checks `usable`, which includes the
+        // runtime AVX2 probe, before calling this wrapper.
         unsafe { run(nco, mixer, cic_i, cic_q, input, out_i, out_q) }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Memory accesses stay in bounds for
+    /// any input: vector loads cover `group[k..k + 8]` with
+    /// `k + 8 <= group.len()`, and table gathers use indices masked to
+    /// the NCO table's `2^addr_bits` entries.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_lines)]
     unsafe fn run(
@@ -425,8 +449,8 @@ fn comb2_output(a1: i64, d0: &mut i64, d1: &mut i64, w: u32, out_shift: u32, out
 }
 
 /// A self-contained fused front end: owns the NCO, mixer and the two
-/// CIC1 rails, so pipeline threads and benchmarks can run the fused
-/// kernel without assembling the pieces themselves.
+/// CIC1 rails, so callers and benchmarks can run the fused kernel
+/// without assembling the pieces themselves.
 #[derive(Clone, Debug)]
 pub struct FusedFrontEnd {
     nco: LutNco,
@@ -520,12 +544,69 @@ mod tests {
         (out_i, out_q)
     }
 
+    type FusedBody = fn(
+        &mut LutNco,
+        &FixedMixer,
+        &mut CicDecimator,
+        &mut CicDecimator,
+        &[i32],
+        &mut Vec<i64>,
+        &mut Vec<i64>,
+    );
+
+    /// Every fused body this host can run for `cfg`: the scalar one
+    /// always, the AVX2 one when the CPU and the stage widths allow it,
+    /// so both stay under test on AVX2 hosts.
+    fn fused_bodies(cfg: &DdcConfig) -> Vec<(&'static str, FusedBody)> {
+        let mut bodies: Vec<(&'static str, FusedBody)> = vec![("scalar", fused_order2_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let fe = FusedFrontEnd::new(cfg);
+            if simd::usable(&fe.mixer, &fe.cic_i) {
+                bodies.push(("avx2", simd::fused_order2_avx2));
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = cfg;
+        bodies
+    }
+
+    /// Runs one fused body over `input` in `chunk`-sample pieces.
+    fn run_body(
+        cfg: &DdcConfig,
+        body: FusedBody,
+        input: &[i32],
+        chunk: usize,
+    ) -> (Vec<i64>, Vec<i64>) {
+        let mut fe = FusedFrontEnd::new(cfg);
+        let mut out_i = Vec::new();
+        let mut out_q = Vec::new();
+        for piece in input.chunks(chunk) {
+            body(
+                &mut fe.nco,
+                &fe.mixer,
+                &mut fe.cic_i,
+                &mut fe.cic_q,
+                piece,
+                &mut out_i,
+                &mut out_q,
+            );
+        }
+        (out_i, out_q)
+    }
+
     #[test]
     fn fused_matches_staged_over_ragged_chunks() {
         let cfg = DdcConfig::drm(10.7e6);
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let input: Vec<i32> = (0..5000).map(|_| rng.gen_range(-2048..=2047)).collect();
         let (expect_i, expect_q) = staged_reference(&cfg, &input);
+        for (name, body) in fused_bodies(&cfg) {
+            let (got_i, got_q) = run_body(&cfg, body, &input, 173);
+            assert_eq!(got_i, expect_i, "{name} body, I rail");
+            assert_eq!(got_q, expect_q, "{name} body, Q rail");
+        }
+        // The dispatching entry point agrees too.
         let mut fe = FusedFrontEnd::new(&cfg);
         let mut got_i = Vec::new();
         let mut got_q = Vec::new();
@@ -545,12 +626,11 @@ mod tests {
             .map(|k| if k % 2 == 0 { -2048 } else { 2047 })
             .collect();
         let (expect_i, expect_q) = staged_reference(&cfg, &input);
-        let mut fe = FusedFrontEnd::new(&cfg);
-        let mut got_i = Vec::new();
-        let mut got_q = Vec::new();
-        fe.process_block(&input, &mut got_i, &mut got_q);
-        assert_eq!(got_i, expect_i);
-        assert_eq!(got_q, expect_q);
+        for (name, body) in fused_bodies(&cfg) {
+            let (got_i, got_q) = run_body(&cfg, body, &input, input.len());
+            assert_eq!(got_i, expect_i, "{name} body, I rail");
+            assert_eq!(got_q, expect_q, "{name} body, Q rail");
+        }
     }
 
     #[test]

@@ -37,15 +37,13 @@
 //!   execution engine (worker pool, bounded queues, work stealing).
 //! * [`activity`] — per-stage switching-activity and operation-count
 //!   instrumentation feeding the power models.
-//! * [`pipeline`] — multi-threaded block pipeline for fast simulation.
 //! * [`pruned`] — a Hogenauer register-pruned CIC (area/noise study).
 //! * [`duc`] — the transmit-side dual (up-converter) for loopback tests.
 
-// The only unsafe in the crate is the feature-gated `std::arch` FIR
-// kernel (`fir::simd`), which carries its own scoped allow; default
-// builds still forbid unsafe outright.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// The only unsafe in the crate is the two x86_64 `std::arch` kernels
+// (`fir::simd`, `frontend::simd`), each with its own scoped allow and
+// chosen at run time only when the CPU reports AVX2.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activity;
@@ -59,7 +57,6 @@ pub mod frontend;
 pub mod mixer;
 pub mod nco;
 pub mod params;
-pub mod pipeline;
 pub mod pruned;
 pub mod spec;
 

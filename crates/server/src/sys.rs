@@ -199,24 +199,11 @@ mod imp {
     use std::io;
     use std::time::Duration;
 
+    pub use super::wake_pipe::Waker;
+
     pub enum Poller {
         Epoll(super::epoll_imp::Poller),
         Poll(poll_imp::Poller),
-    }
-
-    #[derive(Clone)]
-    pub enum Waker {
-        Epoll(super::epoll_imp::Waker),
-        Poll(poll_imp::Waker),
-    }
-
-    impl Waker {
-        pub fn wake(&self) {
-            match self {
-                Waker::Epoll(w) => w.wake(),
-                Waker::Poll(w) => w.wake(),
-            }
-        }
     }
 
     impl Poller {
@@ -230,8 +217,8 @@ mod imp {
 
         pub fn waker(&self) -> Waker {
             match self {
-                Poller::Epoll(p) => Waker::Epoll(p.waker()),
-                Poller::Poll(p) => Waker::Poll(p.waker()),
+                Poller::Epoll(p) => p.waker(),
+                Poller::Poll(p) => p.waker(),
             }
         }
 
@@ -265,14 +252,83 @@ mod imp {
     }
 }
 
+// ---------------------------------------------------- unix: the wake pipe
+
+/// The waker half both Unix backends share: the pipe's write end plus a
+/// flag that coalesces bursts. The read end belongs to the poller,
+/// which calls [`Waker::drain`] whenever it reports readable.
+#[cfg(unix)]
+mod wake_pipe {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    extern "C" {
+        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        fn close(fd: i32) -> i32;
+    }
+
+    struct WakeFd {
+        fd: i32,
+        pending: AtomicBool,
+    }
+
+    impl Drop for WakeFd {
+        fn drop(&mut self) {
+            // SAFETY: `fd` is the write end this value owns; the last
+            // clone of the waker closes it exactly once.
+            unsafe { close(self.fd) };
+        }
+    }
+
+    #[derive(Clone)]
+    pub struct Waker(Arc<WakeFd>);
+
+    impl Waker {
+        /// Takes ownership of the pipe's non-blocking write end.
+        pub fn new(write_fd: i32) -> Waker {
+            Waker(Arc::new(WakeFd {
+                fd: write_fd,
+                pending: AtomicBool::new(false),
+            }))
+        }
+
+        pub fn wake(&self) {
+            // Coalesce: one unread byte is enough to make wait return.
+            if !self.0.pending.swap(true, Ordering::SeqCst) {
+                let b = 1u8;
+                // SAFETY: writes one byte from a live local to the
+                // owned, still-open write end. A full pipe (EAGAIN)
+                // already holds a byte, which is all a wake needs.
+                unsafe { write(self.0.fd, &b, 1) };
+            }
+        }
+
+        /// Empties the non-blocking read end `read_fd`, then clears the
+        /// flag. In that order a wake racing the drain either finds the
+        /// flag still set, so its post is already visible to the
+        /// caller, or finds it clear and writes a fresh byte that makes
+        /// the next wait return at once. Clearing first would let the
+        /// read swallow that fresh byte and leave the flag set on an
+        /// empty pipe, so every later wake would be lost.
+        pub fn drain(&self, read_fd: i32) {
+            let mut sink = [0u8; 64];
+            // SAFETY: reads at most `sink.len()` bytes into `sink`.
+            while unsafe { read(read_fd, sink.as_mut_ptr(), sink.len()) } > 0 {}
+            // An RMW rather than a store, so it acquires the racing
+            // waker's release and with it the post made before the wake.
+            self.0.pending.swap(false, Ordering::SeqCst);
+        }
+    }
+}
+
 // ------------------------------------------------------------ linux: epoll
 
 #[cfg(target_os = "linux")]
 mod epoll_imp {
+    use super::wake_pipe::Waker;
     use super::{Event, Interest, OsFd, WAKE_TOKEN};
     use std::io;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
     use std::time::Duration;
 
     const EPOLLIN: u32 = 0x001;
@@ -302,8 +358,6 @@ mod epoll_imp {
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         fn pipe2(fds: *mut i32, flags: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         fn close(fd: i32) -> i32;
     }
 
@@ -326,30 +380,6 @@ mod epoll_imp {
         m
     }
 
-    struct WakeFd {
-        fd: i32,
-        pending: AtomicBool,
-    }
-
-    impl Drop for WakeFd {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-
-    #[derive(Clone)]
-    pub struct Waker(Arc<WakeFd>);
-
-    impl Waker {
-        pub fn wake(&self) {
-            // Coalesce: one unread byte is enough to make wait return.
-            if !self.0.pending.swap(true, Ordering::SeqCst) {
-                let b = 1u8;
-                unsafe { write(self.0.fd, &b, 1) };
-            }
-        }
-    }
-
     pub struct Poller {
         epfd: i32,
         wake_read: i32,
@@ -370,10 +400,7 @@ mod epoll_imp {
             let poller = Poller {
                 epfd,
                 wake_read: fds[0],
-                waker: Waker(Arc::new(WakeFd {
-                    fd: fds[1],
-                    pending: AtomicBool::new(false),
-                })),
+                waker: Waker::new(fds[1]),
                 max_events: 256,
             };
             poller.add(fds[0], WAKE_TOKEN, Interest::READ)?;
@@ -429,7 +456,7 @@ mod epoll_imp {
                 let data = ev.data;
                 let bits = ev.events;
                 if data == WAKE_TOKEN {
-                    self.drain_wake();
+                    self.waker.drain(self.wake_read);
                     continue;
                 }
                 events.push(Event {
@@ -439,16 +466,6 @@ mod epoll_imp {
                 });
             }
             Ok(())
-        }
-
-        fn drain_wake(&self) {
-            // Clear the flag before the pipe: a wake racing this drain
-            // either sees the flag still set (its mailbox post is
-            // already visible to our caller) or writes a fresh byte
-            // that makes the next wait return immediately.
-            self.waker.0.pending.store(false, Ordering::SeqCst);
-            let mut sink = [0u8; 64];
-            while unsafe { read(self.wake_read, sink.as_mut_ptr(), sink.len()) } > 0 {}
         }
     }
 
@@ -471,11 +488,11 @@ use poll_imp as imp;
 
 #[cfg(unix)]
 mod poll_imp {
+    pub use super::wake_pipe::Waker;
     use super::{Event, Interest, OsFd, WAKE_TOKEN};
     use std::collections::HashMap;
     use std::io;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
     use std::time::Duration;
 
     const POLLIN: i16 = 0x001;
@@ -509,32 +526,7 @@ mod poll_imp {
         fn poll(fds: *mut PollFd, nfds: u32, timeout: i32) -> i32;
         fn pipe(fds: *mut i32) -> i32;
         fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         fn close(fd: i32) -> i32;
-    }
-
-    struct WakeFd {
-        fd: i32,
-        pending: AtomicBool,
-    }
-
-    impl Drop for WakeFd {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-
-    #[derive(Clone)]
-    pub struct Waker(Arc<WakeFd>);
-
-    impl Waker {
-        pub fn wake(&self) {
-            if !self.0.pending.swap(true, Ordering::SeqCst) {
-                let b = 1u8;
-                unsafe { write(self.0.fd, &b, 1) };
-            }
-        }
     }
 
     pub struct Poller {
@@ -555,10 +547,7 @@ mod poll_imp {
             Ok(Poller {
                 registered: Mutex::new(HashMap::new()),
                 wake_read: fds[0],
-                waker: Waker(Arc::new(WakeFd {
-                    fd: fds[1],
-                    pending: AtomicBool::new(false),
-                })),
+                waker: Waker::new(fds[1]),
             })
         }
 
@@ -633,9 +622,7 @@ mod poll_imp {
                 return Ok(());
             }
             if fds[0].revents != 0 {
-                self.waker.0.pending.store(false, Ordering::SeqCst);
-                let mut sink = [0u8; 64];
-                while unsafe { read(self.wake_read, sink.as_mut_ptr(), sink.len()) } > 0 {}
+                self.waker.drain(self.wake_read);
             }
             for (pf, &token) in fds[1..].iter().zip(&tokens) {
                 if pf.revents == 0 || token == WAKE_TOKEN {
@@ -810,6 +797,68 @@ mod tests {
             .unwrap();
         assert!(t0.elapsed() < Duration::from_secs(5), "waker did not fire");
         t.join().unwrap();
+    }
+
+    /// A wake that lands while the poller drains its pipe must not be
+    /// lost. A poster thread posts and wakes in a tight loop; whenever
+    /// the waiter has caught up it waits with a 2 s timeout, and that
+    /// wait must never run out while a post is outstanding.
+    fn no_wake_is_lost(
+        mut wait: impl FnMut(&mut Vec<Event>, Option<Duration>) -> io::Result<()>,
+        wake: impl Fn() + Send + 'static,
+    ) {
+        use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+        use std::sync::Arc;
+        const POSTS: u64 = 100_000;
+        const TIMEOUT: Duration = Duration::from_secs(2);
+        let posted = Arc::new(AtomicU64::new(0));
+        let poster = {
+            let posted = Arc::clone(&posted);
+            std::thread::spawn(move || {
+                for i in 0..POSTS {
+                    posted.fetch_add(1, SeqCst);
+                    wake();
+                    // A varying gap sweeps the wake across every point
+                    // of the waiter's wait/drain cycle.
+                    for _ in 0..i % 256 {
+                        std::hint::spin_loop();
+                    }
+                }
+            })
+        };
+        let mut seen = 0;
+        let mut events = Vec::new();
+        while seen < POSTS {
+            let now = posted.load(SeqCst);
+            if now > seen {
+                seen = now;
+                continue;
+            }
+            let t0 = Instant::now();
+            wait(&mut events, Some(TIMEOUT)).unwrap();
+            let timed_out = t0.elapsed() >= TIMEOUT;
+            let outstanding = posted.load(SeqCst) > seen;
+            assert!(
+                !(timed_out && outstanding),
+                "lost wake-up: waited out the timeout with a post outstanding"
+            );
+        }
+        poster.join().unwrap();
+    }
+
+    #[test]
+    fn wake_racing_a_drain_is_not_lost() {
+        let poller = Poller::new().unwrap();
+        let waker = poller.waker();
+        no_wake_is_lost(|ev, t| poller.wait(ev, t), move || waker.wake());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn wake_racing_a_poll_backend_drain_is_not_lost() {
+        let poller = super::poll_imp::Poller::new().unwrap();
+        let waker = poller.waker();
+        no_wake_is_lost(|ev, t| poller.wait(ev, t), move || waker.wake());
     }
 
     #[test]

@@ -1158,6 +1158,17 @@ impl<'a> Cursor<'a> {
 /// payload checksum before parsing.
 pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, WireError> {
     debug_assert_eq!(payload.len(), header.payload_len as usize);
+    if header.frame_type == 3 {
+        // One Samples parser: the borrowed decoder, which verifies the
+        // checksum in its copy pass with the same error order.
+        let mut samples = Vec::new();
+        let (batch_index, trace_id) = decode_samples_into(header, payload, &mut samples)?;
+        return Ok(Frame::Samples(Samples {
+            batch_index,
+            samples,
+            trace_id,
+        }));
+    }
     if checksum(payload) != header.payload_sum {
         return Err(WireError::PayloadChecksum);
     }
@@ -1264,55 +1275,6 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
                 queue_cap,
                 qos,
                 trace_interval,
-            })
-        }
-        3 => {
-            let batch_index = c.u64("samples batch_index")?;
-            let count = c.u32("samples count")?;
-            // Exactly the declared samples, or the declared samples
-            // plus the 9-byte trace trailer. 9 is not a multiple of
-            // the 4-byte sample stride, so the shapes cannot alias.
-            let sample_bytes = count as usize * 4;
-            let traced = match c.remaining() {
-                r if r == sample_bytes => false,
-                r if r == sample_bytes + 9 => true,
-                _ => {
-                    return Err(WireError::CountMismatch {
-                        declared: count,
-                        available: c.remaining(),
-                    })
-                }
-            };
-            let mut samples = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                samples.push(i32::from_le_bytes(
-                    c.take(4, "sample word")?.try_into().unwrap(),
-                ));
-            }
-            let trace_id = if traced {
-                match c.u8("samples trace tag")? {
-                    SAMPLES_TRACE_TAG => {
-                        let id = c.u64("samples trace_id")?;
-                        if id == 0 {
-                            return Err(WireError::BadSpec(
-                                "samples trace_id must be non-zero when tagged".into(),
-                            ));
-                        }
-                        id
-                    }
-                    other => {
-                        return Err(WireError::BadSpec(format!(
-                            "unknown samples trailer tag {other}"
-                        )))
-                    }
-                }
-            } else {
-                0
-            };
-            Frame::Samples(Samples {
-                batch_index,
-                samples,
-                trace_id,
             })
         }
         4 => {
@@ -1455,17 +1417,15 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
 
 /// Zero-copy Samples decode: parses the payload prefix and then moves
 /// the sample words straight into `out` (appending), folding the
-/// Fletcher-32 verification into that same copy pass — the payload is
-/// walked exactly once, against twice for
-/// [`decode_payload`]-into-`Vec` (checksum pass, then parse/copy
-/// pass). `out` is typically a session's reusable farm-input scratch
-/// buffer, so the bytes go from the connection read buffer to the DSP
-/// input with no intermediate `Vec`.
+/// Fletcher-32 verification into that same copy pass, so the payload
+/// is walked exactly once. `out` is typically a session's reusable
+/// farm-input scratch buffer, so the bytes go from the connection read
+/// buffer to the DSP input with no intermediate `Vec`.
 ///
 /// Returns `(batch_index, trace_id)` (`trace_id` is 0 for untraced
 /// frames). On any error `out` is restored to its original length.
-/// Error equivalence with the owned path is pinned by
-/// `tests/zero_copy_equiv.rs`.
+/// This is the only Samples parser: [`decode_payload`] wraps it with a
+/// fresh `Vec`.
 pub fn decode_samples_into(
     header: &FrameHeader,
     payload: &[u8],
@@ -1485,8 +1445,8 @@ pub fn decode_samples_into(
     } else if payload.len() >= 21 && declared(payload.len() - 21) {
         (payload.len() - 9, true)
     } else {
-        // Cold path: mirror decode_payload's error order exactly
-        // (checksum verdict first, structural objection second).
+        // Cold path: checksum verdict first, structural objection
+        // second — the error order of every other frame type.
         if checksum(payload) != header.payload_sum {
             return Err(WireError::PayloadChecksum);
         }
@@ -1516,7 +1476,7 @@ pub fn decode_samples_into(
         acc.update(&payload[sample_end..]);
         let id = u64::from_le_bytes(payload[sample_end + 1..].try_into().unwrap());
         // Tag and non-zero ID are structural; checked after the
-        // checksum verdict below to keep decode_payload's error order.
+        // checksum verdict below, as for every other frame type.
         id
     } else {
         0

@@ -8,20 +8,33 @@
 //! internal scratch buffer, the measured `process_into` calls — and the
 //! raw histogram/event-ring record paths — must leave the allocation
 //! counter untouched.
+//!
+//! The counter is per thread: the test harness runs sibling tests in
+//! parallel, and their allocations must not land in another test's
+//! measured window. Every measured window is single-threaded, so a
+//! per-thread count still sees every allocation the measured code makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Counts every allocation and reallocation; frees are not counted
 /// (a free in the hot path would imply a previous allocation anyway).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialiser: no lazy registration, so counting never
+    // allocates (which would recurse into the allocator).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -30,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,11 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many allocations it performed.
+/// Runs `f` and returns how many allocations it performed on this
+/// thread.
 fn allocations_during<F: FnMut()>(mut f: F) -> u64 {
-    let before = ALLOCS.load(Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]
