@@ -29,7 +29,7 @@
 use crate::chain::{chain_metrics_for, FixedDdc};
 use crate::mixer::Iq;
 use crate::spec::{ChainSpec, SpecError};
-use ddc_obs::{drain_merged, kind, Counter, Event, EventRing, LogHistogram, MetricsHandle};
+use ddc_obs::{kind, Counter, Event, EventRing, LogHistogram, MetricsHandle};
 use ddc_obs::{ChainMetrics, MetricsSnapshot, TraceHandle, TraceSink};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -160,17 +160,15 @@ pub struct FarmTotals {
     pub orphans_reclaimed: u64,
 }
 
-/// Telemetry state of an instrumented farm: per-worker event rings
-/// and job-latency histograms, plus submission-side histograms. Built
-/// once by [`DdcFarm::with_telemetry`]; recording is lock-free and
-/// allocation-free.
+/// Telemetry state of an instrumented farm: the farm's event recorder,
+/// per-worker job-latency histograms, and submission-side histograms.
+/// Built once by [`DdcFarm::with_telemetry`]; recording is lock-free
+/// and, after each thread's first event, allocation-free.
 #[derive(Debug)]
 pub struct FarmMetrics {
-    /// One SPSC event ring per worker (`JOB_DONE` events).
-    worker_rings: Vec<EventRing>,
-    /// Control-plane ring (configure / reconfigure / halt); written
-    /// from submitter threads, which the stamp protocol tolerates.
-    control_ring: EventRing,
+    /// Job (`JOB_DONE`) and control-plane (configure / reconfigure /
+    /// halt) events, one ring per recording thread.
+    events: EventRing,
     /// Per-worker job latency (ns per job).
     worker_job_ns: Vec<LogHistogram>,
     /// Per-worker jobs executed.
@@ -188,12 +186,8 @@ pub struct FarmMetrics {
 
 impl FarmMetrics {
     fn new(workers: usize) -> Self {
-        let origin = Instant::now();
         FarmMetrics {
-            worker_rings: (0..workers)
-                .map(|_| EventRing::with_origin(1024, origin))
-                .collect(),
-            control_ring: EventRing::with_origin(256, origin),
+            events: EventRing::new(1024),
             worker_job_ns: (0..workers).map(|_| LogHistogram::new()).collect(),
             worker_jobs: (0..workers).map(|_| Counter::new()).collect(),
             inline_jobs: Counter::new(),
@@ -288,7 +282,7 @@ impl Shared {
             let busy_ns = busy.as_nanos().min(u64::MAX as u128) as u64;
             fm.worker_jobs[me].inc();
             fm.worker_job_ns[me].record(busy_ns);
-            fm.worker_rings[me].push(kind::JOB_DONE, channel as u64, busy_ns);
+            fm.events.push(kind::JOB_DONE, channel as u64, busy_ns);
         }
         match job.completion {
             Completion::Batch => {
@@ -631,11 +625,7 @@ impl DdcFarm {
             let busy_ns = busy.as_nanos().min(u64::MAX as u128) as u64;
             fm.inline_jobs.inc();
             fm.inline_job_ns.record(busy_ns);
-            // JOB_DONE lands in the control ring (no worker index
-            // to attribute it to); drain_events merges the rings,
-            // so consumers see one ordered job stream either way.
-            fm.control_ring
-                .push(kind::JOB_DONE, channel as u64, busy_ns);
+            fm.events.push(kind::JOB_DONE, channel as u64, busy_ns);
         }
         true
     }
@@ -736,8 +726,7 @@ impl DdcFarm {
             // Fresh per-stage metrics matching the new spec's labels.
             let m = Arc::new(chain_metrics_for(slot.ddc.spec()));
             slot.ddc.set_metrics(MetricsHandle::enabled(m));
-            fm.control_ring
-                .push(kind::CHANNEL_RECONFIGURE, channel as u64, 0);
+            fm.events.push(kind::CHANNEL_RECONFIGURE, channel as u64, 0);
         }
         if let Some(ft) = self.shared.tracer.get() {
             // Re-intern the new spec's stage labels on the fresh chain.
@@ -761,7 +750,7 @@ impl DdcFarm {
         let was_stopped = self.shared.stop.swap(true, Ordering::AcqRel);
         if !was_stopped {
             if let Some(fm) = self.shared.metrics.get() {
-                fm.control_ring.push(
+                fm.events.push(
                     kind::CHANNEL_HALT,
                     self.shared.jobs_completed.load(Ordering::Relaxed),
                     0,
@@ -805,10 +794,11 @@ impl DdcFarm {
 
     /// Installs telemetry: per-stage chain metrics on every channel
     /// (under the spec's own stage labels), per-worker job latency
-    /// histograms and event rings, and submission-side queue-depth /
+    /// histograms, the event recorder, and submission-side queue-depth /
     /// batch-size histograms. Builder form, meant to run right after
     /// construction; idempotent (a second call is a no-op). All
-    /// allocation happens here — steady-state recording is lock-free
+    /// allocation happens here, except that each thread's first event
+    /// allocates its event ring — steady-state recording is lock-free
     /// and allocation-free.
     pub fn with_telemetry(self) -> Self {
         if self.shared.metrics.get().is_some() {
@@ -819,7 +809,7 @@ impl DdcFarm {
             let mut slot = slot.lock().unwrap();
             let m = Arc::new(chain_metrics_for(slot.ddc.spec()));
             slot.ddc.set_metrics(MetricsHandle::enabled(m));
-            fm.control_ring.push(kind::CHANNEL_CONFIGURE, ch as u64, 0);
+            fm.events.push(kind::CHANNEL_CONFIGURE, ch as u64, 0);
         }
         let _ = self.shared.metrics.set(fm);
         self
@@ -833,9 +823,10 @@ impl DdcFarm {
     /// Installs span tracing: every channel chain gets a
     /// [`TraceHandle`] on `sink` (interning its spec's stage labels),
     /// and traced submissions record a whole-job span per worker.
-    /// Worker `w` writes on span track `track_base + w`; inline jobs
+    /// Worker `w`'s spans render on track `track_base + w`; inline jobs
     /// (caller-run fast path) use `track_base + worker_count`. Builder
-    /// form, idempotent; all allocation happens here. Untraced
+    /// form, idempotent; all allocation happens here or in a thread's
+    /// first record into `sink`. Untraced
     /// submissions (`trace_id == 0`, i.e. every plain `submit_*` call)
     /// stay span-free and bit-exact.
     pub fn with_tracing(self, sink: Arc<TraceSink>, track_base: u32) -> Self {
@@ -860,20 +851,15 @@ impl DdcFarm {
         self.shared.tracer.get().map(|t| &t.sink)
     }
 
-    /// Merge-and-drain of every worker's event ring plus the control
-    /// ring, ordered by timestamp; returns the count of events newly
-    /// detected as dropped. No-op returning 0 when telemetry is off.
-    /// Single consumer: concurrent drains would race on ring cursors.
+    /// Drains the farm's job and control events, ordered by timestamp;
+    /// returns the count of events newly detected as dropped. No-op
+    /// returning 0 when telemetry is off. Single consumer: concurrent
+    /// drains would race on ring cursors.
     pub fn drain_events(&self, out: &mut Vec<Event>) -> u64 {
-        match self.shared.metrics.get() {
-            Some(fm) => drain_merged(
-                fm.worker_rings
-                    .iter()
-                    .chain(std::iter::once(&fm.control_ring)),
-                out,
-            ),
-            None => 0,
-        }
+        self.shared
+            .metrics
+            .get()
+            .map_or(0, |fm| fm.events.drain_into(out))
     }
 
     /// Exports everything the farm measures as a [`MetricsSnapshot`]:
@@ -917,20 +903,8 @@ impl DdcFarm {
         snap.push_counter("ddc_farm_jobs_completed_total", totals.jobs_completed);
         snap.push_counter("ddc_farm_steals_total", totals.steals);
         snap.push_counter("ddc_farm_orphans_reclaimed_total", totals.orphans_reclaimed);
-        let produced: u64 = fm
-            .worker_rings
-            .iter()
-            .chain(std::iter::once(&fm.control_ring))
-            .map(|r| r.produced())
-            .sum();
-        let dropped: u64 = fm
-            .worker_rings
-            .iter()
-            .chain(std::iter::once(&fm.control_ring))
-            .map(|r| r.dropped())
-            .sum();
-        snap.push_counter("ddc_events_produced_total", produced);
-        snap.push_counter("ddc_events_dropped_total", dropped);
+        snap.push_counter("ddc_events_produced_total", fm.events.produced());
+        snap.push_counter("ddc_events_dropped_total", fm.events.dropped());
         snap.push_hist("ddc_queue_depth", fm.queue_depth.snapshot());
         snap.push_hist("ddc_batch_samples", fm.batch_samples.snapshot());
         snap.push_counter("ddc_farm_inline_jobs_total", fm.inline_jobs.get());

@@ -9,19 +9,21 @@
 //!   fixed-bucket base-2 log histograms, recorded once per *block*
 //!   (never per sample) behind a [`MetricsHandle`] that is a no-op
 //!   when telemetry is off.
-//! - [`EventRing`]: bounded lock-free rings of structured [`Event`]s,
-//!   sequence-numbered and drop-counted, one per worker, merged with
-//!   [`drain_merged`].
+//! - [`EventRing`]: bounded lock-free recorder of structured
+//!   [`Event`]s — one seqlock ring per writer thread, each
+//!   sequence-numbered and drop-counted, merged by time on drain.
 //! - [`MetricsSnapshot`]: the export surface — JSON, Prometheus text,
 //!   and a validated binary codec used by the wire protocol's
 //!   `MetricsReport` frame.
 //! - [`TraceSink`] / [`TraceHandle`]: sampled per-batch span tracing
-//!   (begin/end/instant events with 64-bit trace/span IDs in seqlock
-//!   [`SpanRing`]s), exported as Chrome trace-event JSON for Perfetto.
+//!   (begin/end/instant events with 64-bit trace/span IDs in the same
+//!   per-writer-thread rings), exported as Chrome trace-event JSON for
+//!   Perfetto.
 //!
-//! Allocation discipline: building metrics (names, rings) allocates at
-//! *configure* time; recording in steady state performs no heap
-//! allocation, takes no locks, and never blocks.
+//! Allocation discipline: building metrics (names, histograms)
+//! allocates at *configure* time, and a thread's first record into a
+//! recorder allocates that thread's ring; recording in steady state
+//! performs no heap allocation, takes no locks, and never blocks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +36,8 @@ mod trace;
 
 pub use hist::{bucket_index, bucket_upper_bound, HistSnapshot, LogHistogram, BUCKETS};
 pub use metrics::{ChainMetrics, Counter, MetricsHandle, StageMetrics};
-pub use ring::{drain_merged, kind, Event, EventRing};
+pub use ring::{kind, Event, EventRing};
 pub use snapshot::{MetricsSnapshot, SnapshotDecodeError, SNAPSHOT_VERSION};
 pub use trace::{
-    render_chrome_events, span_kind, SpanEvent, SpanRing, TraceHandle, TraceSink, SERVER_TRACE_BIT,
+    render_chrome_events, span_kind, SpanEvent, TraceHandle, TraceSink, SERVER_TRACE_BIT,
 };

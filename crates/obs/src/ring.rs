@@ -1,29 +1,36 @@
 //! Bounded lock-free event rings with drop counting.
 //!
-//! An [`EventRing`] records fixed-size structured [`Event`]s into a
-//! power-of-two slot array. Writers never block and never allocate:
-//! each push claims a sequence number with one `fetch_add` and stamps
-//! the slot with a seqlock-style version word, so a slow reader (or no
-//! reader at all) simply loses the oldest events — and the loss is
-//! *counted*, never silent. The intended deployment is one ring per
-//! worker thread (SPSC), merged at snapshot time with
-//! [`drain_merged`]; the stamp protocol additionally keeps concurrent
-//! producers on one ring safe (rare control events share a ring).
+//! Both recorders in this crate — [`EventRing`] and
+//! [`crate::TraceSink`] — store four-word records in `SeqRing`s:
+//! bounded, overwrite-oldest seqlock rings with **exactly one writer
+//! each**. The single writer is guaranteed by construction: the only
+//! way to write one is `ThreadRings::push`, which hands every thread
+//! its own ring on its first record (one lock and one allocation, then
+//! cached in a thread-local) and keeps all of them in a registry for
+//! the consumer to drain and merge. Writers therefore never block,
+//! never allocate in steady state and never contend with each other; a
+//! slow reader (or no reader at all) simply loses the oldest records —
+//! and the loss is *counted*, never silent.
 //!
-//! Safety model: the ring is built entirely from `AtomicU64`s — there
+//! Safety model: the rings are built entirely from `AtomicU64`s — there
 //! is no `unsafe` — so a racing read can at worst observe a mixed
 //! payload, and the stamp re-validation is what rejects such reads.
 //! The stamp for sequence `s` is `2s + 1` while the slot is being
-//! written and `2s + 2` once published; per-slot stamp values strictly
-//! increase, so a reader that observes the same published stamp before
-//! and after copying the payload knows no writer touched the slot in
-//! between (validated empirically by the contention stress test below;
-//! stamp accesses use `SeqCst`, payload accesses `Acquire`/`Release`).
+//! written and `2s + 2` once published; the writer advances `head` only
+//! after publishing, so every sequence below `head` is published and a
+//! drain never waits on a slot. Per-slot stamps strictly increase (one
+//! writer, increasing sequence numbers), so a reader that observes the
+//! same published stamp before and after copying the payload knows the
+//! writer did not lap the slot in between. Stamp accesses use `SeqCst`,
+//! payload accesses `Release`/`Acquire`, and `head` is stored with
+//! `Release` after the stamp and loaded with `Acquire` by the drain.
 
+use std::cell::RefCell;
 use std::sync::atomic::{
     AtomicU64,
     Ordering::{Acquire, Relaxed, Release, SeqCst},
 };
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Well-known event kinds recorded by the engine and server layers.
@@ -61,9 +68,11 @@ pub mod kind {
 /// One structured telemetry event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
-    /// Ring-local sequence number (gap-free per ring).
+    /// Sequence number in the recording thread's ring (gap-free per
+    /// writer thread).
     pub seq: u64,
-    /// Nanoseconds since the ring's origin instant.
+    /// Nanoseconds since the ring's origin instant (shared by every
+    /// writer thread, so events merge into one timeline).
     pub t_ns: u64,
     /// Event kind (see [`kind`]).
     pub kind: u64,
@@ -73,166 +82,262 @@ pub struct Event {
     pub b: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Slot {
     /// 0 = never written; `2s+1` = writing seq `s`; `2s+2` = published.
     stamp: AtomicU64,
-    t_ns: AtomicU64,
-    kind: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
+    words: [AtomicU64; 4],
 }
 
-impl Slot {
-    const fn new() -> Self {
-        Self {
-            stamp: AtomicU64::new(0),
-            t_ns: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Bounded, drop-counted ring of [`Event`]s. See the module docs.
+/// A bounded single-writer seqlock ring of four-word records. Written
+/// only through [`ThreadRings`], which gives each thread its own.
 #[derive(Debug)]
-pub struct EventRing {
+struct SeqRing {
     slots: Box<[Slot]>,
-    /// Next sequence number to allocate (writer side).
+    /// Records published so far; stored only by the owning thread,
+    /// after the record's stamp.
     head: AtomicU64,
-    /// Next sequence number to read (single-consumer side).
+    /// Next sequence number to read (single consumer).
     cursor: AtomicU64,
-    /// Total events lost to overwrite, accumulated by drains.
-    dropped: AtomicU64,
-    origin: Instant,
 }
 
-impl EventRing {
-    /// Creates a ring holding up to `capacity` events (rounded up to a
-    /// power of two, minimum 8).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_origin(capacity, Instant::now())
-    }
-
-    /// Creates a ring whose event timestamps count from `origin`.
-    /// Rings that will be merged must share one origin.
-    pub fn with_origin(capacity: usize, origin: Instant) -> Self {
-        let cap = capacity.max(8).next_power_of_two();
-        let slots: Vec<Slot> = (0..cap).map(|_| Slot::new()).collect();
+impl SeqRing {
+    fn new(capacity: usize) -> Self {
         Self {
-            slots: slots.into_boxed_slice(),
+            slots: (0..capacity).map(|_| Slot::default()).collect(),
             head: AtomicU64::new(0),
             cursor: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            origin,
         }
     }
 
-    /// Slot capacity (power of two).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events ever pushed.
-    pub fn produced(&self) -> u64 {
-        self.head.load(Relaxed)
-    }
-
-    /// Total events lost to overwrite, as counted by drains so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Relaxed)
-    }
-
-    /// The instant event timestamps are measured from.
-    pub fn origin(&self) -> Instant {
-        self.origin
-    }
-
-    /// Records an event. Never blocks, never allocates; overwrites the
-    /// oldest undrained event when the ring is full.
+    /// Publishes one record, overwriting the oldest when full. Only the
+    /// owning thread calls this.
     #[inline]
-    pub fn push(&self, kind: u64, a: u64, b: u64) {
-        let t_ns = self.origin.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let seq = self.head.fetch_add(1, Relaxed);
+    fn push(&self, words: [u64; 4]) {
+        let seq = self.head.load(Relaxed);
         let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];
         slot.stamp.store(2 * seq + 1, SeqCst);
-        slot.t_ns.store(t_ns, Release);
-        slot.kind.store(kind, Release);
-        slot.a.store(a, Release);
-        slot.b.store(b, Release);
+        for (w, v) in slot.words.iter().zip(words) {
+            w.store(v, Release);
+        }
         slot.stamp.store(2 * seq + 2, SeqCst);
+        self.head.store(seq + 1, Release);
     }
 
-    /// Drains every published event since the last drain into `out`,
-    /// in sequence order, and returns how many events were newly
-    /// detected as dropped (also accumulated into [`Self::dropped`]).
-    ///
-    /// Single-consumer: concurrent drains of one ring race on the
-    /// cursor and would double-deliver; call from one thread at a time.
-    pub fn drain_into(&self, out: &mut Vec<Event>) -> u64 {
+    /// Hands every record published since the last drain to `emit`, in
+    /// sequence order, and returns how many were lost to overwrite.
+    fn drain(&self, emit: &mut impl FnMut(u64, [u64; 4])) -> u64 {
         let head = self.head.load(Acquire);
         let cap = self.slots.len() as u64;
         let mut cursor = self.cursor.load(Relaxed);
-        let mut newly_dropped = 0u64;
+        let mut dropped = 0u64;
 
-        // Everything the writers have lapped is gone wholesale.
-        if head.saturating_sub(cursor) > cap {
-            let lost = head - cap - cursor;
-            newly_dropped += lost;
+        // Everything the writer has lapped is gone wholesale.
+        if head - cursor > cap {
+            dropped += head - cap - cursor;
             cursor = head - cap;
         }
 
         while cursor < head {
             let slot = &self.slots[(cursor as usize) & (self.slots.len() - 1)];
             let want = 2 * cursor + 2;
-            let s1 = slot.stamp.load(SeqCst);
-            if s1 < want {
-                // Allocated but not yet published (writer mid-push):
-                // stop here and pick it up on the next drain.
-                break;
-            }
-            if s1 > want {
-                // Overwritten by a later event before we got to it.
-                newly_dropped += 1;
-                cursor += 1;
-                continue;
-            }
-            let ev = Event {
-                seq: cursor,
-                t_ns: slot.t_ns.load(Acquire),
-                kind: slot.kind.load(Acquire),
-                a: slot.a.load(Acquire),
-                b: slot.b.load(Acquire),
-            };
+            // Every sequence below `head` is published, so the stamp
+            // differs from `want` only if the writer lapped the slot,
+            // before the copy or during it (a torn read).
             if slot.stamp.load(SeqCst) == want {
-                out.push(ev);
-            } else {
-                // Overwritten while we copied: reject the torn read.
-                newly_dropped += 1;
+                let words = slot.words.each_ref().map(|w| w.load(Acquire));
+                if slot.stamp.load(SeqCst) == want {
+                    emit(cursor, words);
+                    cursor += 1;
+                    continue;
+                }
             }
+            dropped += 1;
             cursor += 1;
         }
 
         self.cursor.store(cursor, Relaxed);
-        self.dropped.fetch_add(newly_dropped, Relaxed);
-        newly_dropped
+        dropped
     }
 }
 
-/// Drains several rings (which must share an origin) into one list
-/// ordered by timestamp; returns the total newly dropped count.
-pub fn drain_merged<'a, I>(rings: I, out: &mut Vec<Event>) -> u64
-where
-    I: IntoIterator<Item = &'a EventRing>,
-{
-    let start = out.len();
-    let mut dropped = 0;
-    for ring in rings {
-        dropped += ring.drain_into(out);
+/// Source of [`ThreadRings`] identities (never reused, so a stale
+/// thread-local cache entry can never match a live registry).
+static NEXT_REGISTRY: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's ring in every registry it has written to, keyed
+    /// by registry id.
+    static MINE: RefCell<Vec<(u64, Arc<SeqRing>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A registry of per-thread [`SeqRing`]s sharing one capacity and one
+/// timestamp origin: the single-writer guarantee behind both
+/// recorders.
+#[derive(Debug)]
+pub(crate) struct ThreadRings {
+    id: u64,
+    capacity: usize,
+    origin: Instant,
+    rings: Mutex<Vec<Arc<SeqRing>>>,
+    /// Records made after the thread's ring cache was torn down (thread
+    /// exit); counted as produced and dropped.
+    lost: AtomicU64,
+    /// How much of `lost` drains have already reported.
+    lost_seen: AtomicU64,
+    /// Records lost to overwrite or teardown, accumulated by drains.
+    dropped: AtomicU64,
+}
+
+impl ThreadRings {
+    /// A registry whose rings hold `capacity` records each (rounded up
+    /// to a power of two, minimum 8), with room reserved for `writers`
+    /// writer threads.
+    pub(crate) fn new(capacity: usize, writers: usize) -> Self {
+        Self {
+            id: NEXT_REGISTRY.fetch_add(1, Relaxed),
+            capacity: capacity.max(8).next_power_of_two(),
+            origin: Instant::now(),
+            rings: Mutex::new(Vec::with_capacity(writers)),
+            lost: AtomicU64::new(0),
+            lost_seen: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+        }
     }
-    out[start..].sort_by_key(|e| e.t_ns);
-    dropped
+
+    /// Records per writer thread's ring (power of two).
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Nanoseconds elapsed since the registry's origin.
+    #[inline]
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos().min(u64::MAX as u128) as u64
+    }
+
+    /// Records into the calling thread's ring. The first record a
+    /// thread makes here allocates and registers its ring; every later
+    /// one is lock-free and allocation-free.
+    #[inline]
+    pub(crate) fn push(&self, words: [u64; 4]) {
+        let pushed = MINE.try_with(|mine| {
+            let mut mine = mine.borrow_mut();
+            match mine.iter().find(|(id, _)| *id == self.id) {
+                Some((_, ring)) => ring.push(words),
+                None => self.register(&mut mine).push(words),
+            }
+        });
+        if pushed.is_err() {
+            self.lost.fetch_add(1, Relaxed);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn register(&self, mine: &mut Vec<(u64, Arc<SeqRing>)>) -> Arc<SeqRing> {
+        // A cached ring whose registry is gone has the cache as its
+        // last owner.
+        mine.retain(|(_, ring)| Arc::strong_count(ring) > 1);
+        let ring = Arc::new(SeqRing::new(self.capacity));
+        self.rings
+            .lock()
+            .expect("ring registry poisoned")
+            .push(Arc::clone(&ring));
+        mine.push((self.id, Arc::clone(&ring)));
+        ring
+    }
+
+    /// Total records ever published, across every writer thread.
+    pub(crate) fn produced(&self) -> u64 {
+        let rings = self.rings.lock().expect("ring registry poisoned");
+        let published: u64 = rings.iter().map(|r| r.head.load(Relaxed)).sum();
+        published + self.lost.load(Relaxed)
+    }
+
+    /// Total records lost, as counted by drains so far.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.load(Relaxed)
+    }
+
+    /// Hands every record published since the last drain to `emit`
+    /// (ring by ring, each in sequence order) and returns how many were
+    /// newly detected as lost. Single consumer: concurrent drains race
+    /// on the ring cursors. A thread's first record waits for a
+    /// running drain to finish.
+    pub(crate) fn drain(&self, mut emit: impl FnMut(u64, [u64; 4])) -> u64 {
+        let rings = self.rings.lock().expect("ring registry poisoned");
+        let lost = self.lost.load(Relaxed);
+        let mut dropped = lost - self.lost_seen.swap(lost, Relaxed);
+        for ring in rings.iter() {
+            dropped += ring.drain(&mut emit);
+        }
+        self.dropped.fetch_add(dropped, Relaxed);
+        dropped
+    }
+}
+
+/// Bounded, drop-counted recorder of [`Event`]s: one ring per writer
+/// thread, merged by time on drain. See the module docs.
+#[derive(Debug)]
+pub struct EventRing {
+    rings: ThreadRings,
+}
+
+impl EventRing {
+    /// Creates a recorder whose per-thread rings hold up to `capacity`
+    /// events each (rounded up to a power of two, minimum 8). Each
+    /// writer thread's ring is allocated on its first push.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            rings: ThreadRings::new(capacity, 0),
+        }
+    }
+
+    /// Slot capacity of each writer thread's ring (power of two).
+    pub fn capacity(&self) -> usize {
+        self.rings.capacity()
+    }
+
+    /// Total events ever pushed.
+    pub fn produced(&self) -> u64 {
+        self.rings.produced()
+    }
+
+    /// Total events lost to overwrite, as counted by drains so far.
+    pub fn dropped(&self) -> u64 {
+        self.rings.dropped()
+    }
+
+    /// Records an event in the calling thread's ring. Never blocks and,
+    /// after the thread's first push, never allocates; overwrites the
+    /// thread's oldest undrained event when its ring is full.
+    #[inline]
+    pub fn push(&self, kind: u64, a: u64, b: u64) {
+        self.rings.push([self.rings.now_ns(), kind, a, b]);
+    }
+
+    /// Drains every published event since the last drain into `out`,
+    /// ordered by `(t_ns, seq)` across writer threads, and returns how
+    /// many events were newly detected as dropped (also accumulated
+    /// into [`Self::dropped`]). Allocation-free when `out` has room.
+    ///
+    /// Single-consumer: concurrent drains race on the ring cursors and
+    /// would double-deliver; call from one thread at a time.
+    pub fn drain_into(&self, out: &mut Vec<Event>) -> u64 {
+        let start = out.len();
+        let dropped = self.rings.drain(|seq, [t_ns, kind, a, b]| {
+            out.push(Event {
+                seq,
+                t_ns,
+                kind,
+                a,
+                b,
+            })
+        });
+        out[start..].sort_unstable_by_key(|e| (e.t_ns, e.seq));
+        dropped
+    }
 }
 
 #[cfg(test)]
@@ -294,20 +399,60 @@ mod tests {
 
     #[test]
     fn merged_drain_orders_by_time() {
-        let origin = Instant::now();
-        let a = EventRing::with_origin(16, origin);
-        let b = EventRing::with_origin(16, origin);
-        a.push(1, 0, 0);
-        b.push(2, 0, 0);
-        a.push(3, 0, 0);
+        // Two writer threads, so two rings, interleaved in time.
+        let ring = EventRing::new(16);
+        ring.push(1, 0, 0);
+        std::thread::scope(|s| {
+            s.spawn(|| ring.push(2, 0, 0));
+        });
+        ring.push(3, 0, 0);
         let mut out = Vec::new();
-        let dropped = drain_merged([&a, &b], &mut out);
+        let dropped = ring.drain_into(&mut out);
         assert_eq!(dropped, 0);
         assert_eq!(out.len(), 3);
         assert!(out.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+        // Each thread numbers its own events from zero.
+        let seq_of = |k: u64| out.iter().find(|e| e.kind == k).unwrap().seq;
+        assert_eq!((seq_of(1), seq_of(2), seq_of(3)), (0, 0, 1));
     }
 
-    /// Contention stress: several producers hammer one small ring while
+    /// A drain delivers or counts every event published before it
+    /// starts: after each drain, cumulative delivered + dropped is at
+    /// least the `produced()` read just before it, while the writers
+    /// keep lapping their rings.
+    #[test]
+    fn stress_drain_never_stays_behind_a_published_event() {
+        for writers in 2..=4u64 {
+            let ring = EventRing::new(8);
+            let finished = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for w in 0..writers {
+                    let (ring, finished) = (&ring, &finished);
+                    s.spawn(move || {
+                        for i in 0..20_000 {
+                            ring.push(kind::JOB_DONE, w, i);
+                        }
+                        finished.fetch_add(1, Release);
+                    });
+                }
+                let mut out = Vec::with_capacity(8 * writers as usize);
+                let mut seen = 0u64;
+                loop {
+                    let last = finished.load(Acquire) == writers;
+                    let p = ring.produced();
+                    out.clear();
+                    seen += ring.drain_into(&mut out) + out.len() as u64;
+                    assert!(seen >= p, "drain behind: {seen} seen < {p} produced");
+                    if last {
+                        break;
+                    }
+                }
+                assert_eq!(seen, ring.produced());
+            });
+        }
+    }
+
+    /// Contention stress: several producers hammer one small recorder while
     /// a consumer drains continuously. Every delivered event must be
     /// internally consistent (untorn) and the final accounting must be
     /// exact: delivered + dropped == produced.
@@ -379,7 +524,18 @@ mod tests {
             let (k, b) = payload(ev.a);
             assert_eq!((ev.kind, ev.b), (k, b), "torn event: {ev:?}");
         }
-        // No double delivery: sequence numbers strictly increase.
-        assert!(delivered.windows(2).all(|w| w[0].seq < w[1].seq));
+        // No double delivery: within each writer, seq and a strictly
+        // increase, and no event is delivered twice.
+        for w in 0..WRITERS {
+            let mine: Vec<&Event> = delivered.iter().filter(|e| e.a / PER_WRITER == w).collect();
+            assert!(mine
+                .windows(2)
+                .all(|p| p[0].seq < p[1].seq && p[0].a < p[1].a));
+        }
+        let mut seen = std::collections::HashSet::new();
+        assert!(
+            delivered.iter().all(|e| seen.insert(e.a)),
+            "double delivery"
+        );
     }
 }

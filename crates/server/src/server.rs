@@ -91,12 +91,14 @@ impl Default for ServerConfig {
 
 /// Shared server state: the farm, the slot free-list, and the
 /// lifecycle flags.
-/// Span tracks below this base belong to farm workers (one per worker
-/// plus one for inline jobs); session-level spans (ingest, queue-wait,
-/// service, egress) land on `SESSION_TRACK_BASE + id % 0x10000`, so
-/// each session renders as its own Perfetto process row. Collisions
-/// between long-lived sessions merely share a display row — span
-/// identity always comes from the trace/span IDs, never the track.
+/// Span tracks are display rows only; they never pick a ring (every
+/// recording thread has its own). Tracks below this base belong to farm
+/// workers (one per worker plus one for inline jobs); session-level
+/// spans (ingest, queue-wait, service, egress) land on
+/// `SESSION_TRACK_BASE + id % 0x10000`, so each session renders as its
+/// own Perfetto process row. Collisions between long-lived sessions
+/// merely share a display row — span identity always comes from the
+/// trace/span IDs, never the track.
 const SESSION_TRACK_BASE: u32 = 64;
 
 /// Interned span-name indices for the session-level trace points.
@@ -111,7 +113,8 @@ struct TraceNames {
 struct ServerState {
     farm: DdcFarm,
     /// Server-wide span sink: farm workers and sessions all record
-    /// into its rings; a TraceRequest drains them.
+    /// into it, each thread into its own ring; a TraceRequest drains
+    /// them.
     trace: Arc<TraceSink>,
     trace_names: TraceNames,
     /// Single-consumer drain guard for TraceRequest (ring cursors are
@@ -194,6 +197,8 @@ impl MetricsSource for ServerState {
         );
         snap.push_counter("ddc_server_events_produced_total", self.events.produced());
         snap.push_counter("ddc_server_events_dropped_total", self.events.dropped());
+        snap.push_counter("ddc_trace_spans_produced_total", self.trace.produced());
+        snap.push_counter("ddc_trace_spans_dropped_total", self.trace.dropped());
         // Channelizer banks, each under its own bank="name" label so
         // concurrently live banks never collide in one scrape.
         let banks: Vec<Arc<Bank>> = self.banks.lock().unwrap().values().cloned().collect();
@@ -343,8 +348,9 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> std::io::Result<Se
     let farm = farm.with_telemetry();
     // Span tracing is compiled in but costs one u64 compare per block
     // until a batch actually carries a trace ID (head-sampled). Farm
-    // workers take tracks 0..workers+1; session spans start at
-    // SESSION_TRACK_BASE.
+    // workers render on tracks 0..workers+1; session spans start at
+    // SESSION_TRACK_BASE. Each recording thread gets its own
+    // 4096-event ring on its first span.
     let trace = Arc::new(TraceSink::new(16, 4096));
     let trace_names = TraceNames {
         ingest: trace.register_name("ingest"),

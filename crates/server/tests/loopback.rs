@@ -724,6 +724,36 @@ fn traced_batches_echo_their_ids_and_scrape_as_connected_spans() {
 }
 
 #[test]
+fn metrics_scrape_counts_trace_spans_produced_and_dropped() {
+    use ddc_server::wire::metrics_format;
+    let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr(), "trace-loss").expect("connect");
+    client
+        .configure(ConfigPreset::Drm, 10e6, Backpressure::Block, 8)
+        .expect("configure");
+    client
+        .send_samples_traced(0, &stimulus(2688 * 2, 37), 0x0200_0001)
+        .expect("send");
+    match client.recv().expect("iq frame") {
+        Frame::Iq(iq) => assert_eq!(iq.trace_id, 0x0200_0001),
+        other => panic!("expected Iq, got {other:?}"),
+    }
+    // The live scrape carries the recorder's loss accounting without
+    // a TraceRequest.
+    let report = client
+        .request_metrics(metrics_format::BINARY)
+        .expect("binary metrics");
+    let snap = ddc_obs::MetricsSnapshot::decode(&report.body).expect("valid binary snapshot");
+    let produced = snap
+        .counter("ddc_trace_spans_produced_total")
+        .expect("produced family exported");
+    assert!(produced > 0, "a traced batch must record spans");
+    assert_eq!(snap.counter("ddc_trace_spans_dropped_total"), Some(0));
+    let _ = client.send(&Frame::Shutdown);
+    assert!(server.shutdown(Duration::from_secs(5)));
+}
+
+#[test]
 fn server_side_sampling_traces_every_nth_batch_without_client_stamps() {
     let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
     // trace_interval = 2 rides the Configure frame: the server stamps
