@@ -10,8 +10,8 @@
 //!
 //! * [`wire`] — versioned frame types (Hello/Configure/Samples/Iq/
 //!   Stats/Error/Shutdown) with pure, socket-free encode/decode,
-//!   including the zero-copy Samples decode and the fused-checksum
-//!   [`wire::FrameBuf`] egress encoders.
+//!   including the zero-copy Samples decode, the [`wire::FrameBuf`]
+//!   egress encoders and the block-vectorised Fletcher-32 both use.
 //! * [`queue`] — the bounded per-session input queue implementing the
 //!   three backpressure policies (block, drop-oldest, disconnect).
 //! * [`session`] — the per-connection state machine (handshake →
@@ -29,9 +29,14 @@
 //! No external dependencies: sockets are `std::net`, threading is
 //! `std::thread`, synchronisation is `Mutex`/`Condvar`/atomics —
 //! matching the repo's offline-build constraint. `unsafe` is denied
-//! crate-wide and allowed only inside [`sys`], whose whole job is to
-//! wrap four syscalls (`epoll_create1`/`epoll_ctl`/`epoll_wait` or
-//! `poll`, plus `pipe2`) behind a safe API.
+//! crate-wide and allowed in two scoped places: [`sys`], whose whole
+//! job is to wrap four syscalls (`epoll_create1`/`epoll_ctl`/
+//! `epoll_wait` or `poll`, plus `pipe2`) behind a safe API, and the
+//! private `wire::avx2` module, which calls the AVX2 copy of the
+//! Fletcher-32 block loop. That copy is chosen at run time with
+//! `is_x86_feature_detected!("avx2")`, as `ddc-core` chooses its AVX2
+//! FIR and front-end kernels; there is no build feature, and other
+//! CPUs run the portable copy of the same source.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

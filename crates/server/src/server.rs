@@ -973,8 +973,8 @@ fn parse_frames(
         r.header = None;
 
         // The streaming-Samples hot path: decode borrowed payload bytes
-        // straight into a pooled farm-input buffer, checksum fused into
-        // the same pass — no intermediate Vec, no second walk.
+        // straight into a pooled farm-input buffer, then verify the
+        // checksum over the still-cached payload — no intermediate Vec.
         if h.frame_type == 3 && r.state == SessionState::Streaming {
             let Some(q) = conn.queue.get().cloned() else {
                 // A subscriber's data flows outbound only.

@@ -465,7 +465,7 @@ impl Conn {
         o.frames.push_back(fb);
     }
 
-    /// Queues one Iq frame through the fused single-pass encoder (the
+    /// Queues one Iq frame through the dedicated Iq encoder (the
     /// egress hot path).
     pub(crate) fn enqueue_iq(
         &self,
@@ -510,28 +510,28 @@ impl Conn {
                 break;
             }
             let r = {
-                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_WRITE_SLICES);
+                // A stack array, not a Vec: this runs on every ack.
+                let mut slices = [IoSlice::new(&[]); MAX_WRITE_SLICES];
+                let mut len = 0;
                 for (k, f) in o.frames.iter().enumerate() {
-                    if slices.len() + 2 > MAX_WRITE_SLICES {
+                    if len + 2 > MAX_WRITE_SLICES {
                         break;
                     }
-                    if k == 0 && o.cursor > 0 {
-                        if o.cursor < HEADER_LEN {
-                            slices.push(IoSlice::new(&f.header[o.cursor..]));
-                            if !f.payload.is_empty() {
-                                slices.push(IoSlice::new(&f.payload));
-                            }
-                        } else {
-                            slices.push(IoSlice::new(&f.payload[o.cursor - HEADER_LEN..]));
-                        }
+                    // The front frame resumes at the byte cursor.
+                    let skip = if k == 0 { o.cursor } else { 0 };
+                    let (head, body) = if skip < HEADER_LEN {
+                        (&f.header[skip..], &f.payload[..])
                     } else {
-                        slices.push(IoSlice::new(&f.header));
-                        if !f.payload.is_empty() {
-                            slices.push(IoSlice::new(&f.payload));
+                        (&[][..], &f.payload[skip - HEADER_LEN..])
+                    };
+                    for seg in [head, body] {
+                        if !seg.is_empty() {
+                            slices[len] = IoSlice::new(seg);
+                            len += 1;
                         }
                     }
                 }
-                (&self.stream).write_vectored(&slices)
+                (&self.stream).write_vectored(&slices[..len])
             };
             match r {
                 Ok(0) => {

@@ -143,40 +143,27 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Fletcher-32 over the byte stream (16-bit words, odd tail
-/// zero-padded). Cheap, order-sensitive, and std-only.
+/// Fletcher-32 over the byte stream (16-bit little-endian words, odd
+/// tail zero-padded). Cheap, order-sensitive, and std-only.
 pub fn checksum(bytes: &[u8]) -> u32 {
-    let mut a: u32 = 0xffff;
-    let mut b: u32 = 0xffff;
-    for chunk in bytes.chunks(2) {
-        let lo = chunk[0] as u32;
-        let hi = chunk.get(1).copied().unwrap_or(0) as u32;
-        a = (a + (lo | (hi << 8))) % 65535;
-        b = (b + a) % 65535;
-    }
-    (b << 16) | a
+    let mut acc = Fletcher32::new();
+    acc.update(bytes);
+    acc.finish()
 }
 
-/// Incremental Fletcher-32, bit-exact with [`checksum`], for fusing
-/// the checksum into the pass that already moves the payload bytes
-/// (encode serialisation, zero-copy decode). Uses 64-bit accumulators
-/// with a deferred modulo: the reference reduces after every 16-bit
-/// word, but reduction is a ring homomorphism, so folding only every
-/// [`FOLD_EVERY`] words leaves both residues unchanged while keeping
-/// the sums far from overflow (a < 2^27, b < 2^37 between folds).
+/// Incremental Fletcher-32: any split of the input into `update` calls
+/// gives [`checksum`] of the whole. The definition is the per-word
+/// recurrence `a = (a + w) mod 65535`, `b = (b + a) mod 65535` from
+/// seeds `a = b = 0xffff`; `a` and `b` hold those residues (the seeds
+/// stay unreduced until the first word, so an empty input finishes to
+/// `0xffff_ffff` exactly like the recurrence).
 #[derive(Clone, Debug)]
 pub struct Fletcher32 {
-    a: u64,
-    b: u64,
-    unfolded: u32,
+    a: u32,
+    b: u32,
+    /// The low byte of a word split across `update` calls.
     pending: Option<u8>,
-    /// Whether any word has been absorbed — the reference only reduces
-    /// per word, so an empty input keeps the raw 0xffff seeds.
-    any: bool,
 }
-
-/// Words accumulated between modulo folds of [`Fletcher32`].
-const FOLD_EVERY: u32 = 1024;
 
 impl Default for Fletcher32 {
     fn default() -> Self {
@@ -190,108 +177,132 @@ impl Fletcher32 {
         Fletcher32 {
             a: 0xffff,
             b: 0xffff,
-            unfolded: 0,
             pending: None,
-            any: false,
         }
-    }
-
-    #[inline(always)]
-    fn word(&mut self, w: u16) {
-        self.a += w as u64;
-        self.b += self.a;
-        self.any = true;
-        self.unfolded += 1;
-        if self.unfolded >= FOLD_EVERY {
-            self.fold();
-        }
-    }
-
-    #[inline]
-    fn fold(&mut self) {
-        self.a %= 65535;
-        self.b %= 65535;
-        self.unfolded = 0;
     }
 
     /// Absorbs `bytes`, continuing any odd-length tail from the
     /// previous call.
-    ///
-    /// The body runs in [`BLOCK`]-word steps using the closed form of
-    /// the recurrence: absorbing k words w₀..wₖ₋₁ from state (a, b)
-    /// yields a' = a + S and b' = b + k·a + T, with S = Σ wᵢ and
-    /// T = Σ (k−i)·wᵢ. Unlike the serial `b += a += w` chain, S and T
-    /// are independent multiply-adds the CPU can pipeline, which is
-    /// what makes checksumming run near copy speed on large payloads.
-    /// Folding may land a block late (unfolded ≤ FOLD_EVERY − 1 +
-    /// BLOCK words), which the deferred-modulo bounds absorb.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut bytes = bytes;
         if let Some(lo) = self.pending.take() {
-            match bytes.split_first() {
-                Some((&hi, rest)) => {
-                    self.word(lo as u16 | ((hi as u16) << 8));
-                    bytes = rest;
-                }
-                None => {
-                    self.pending = Some(lo);
-                    return;
-                }
-            }
+            let Some((&hi, rest)) = bytes.split_first() else {
+                self.pending = Some(lo);
+                return;
+            };
+            self.a = (self.a + u32::from(u16::from_le_bytes([lo, hi]))) % 65535;
+            self.b = (self.b + self.a) % 65535;
+            bytes = rest;
         }
-        /// Words per closed-form step.
-        const BLOCK: usize = 32;
-        let mut blocks = bytes.chunks_exact(2 * BLOCK);
-        for blk in &mut blocks {
-            // u32 lane math: w < 2^16 and coefficients ≤ BLOCK keep
-            // every product under 2^21 and both block sums under 2^26,
-            // narrow enough for the compiler to use packed 32-bit SIMD.
-            let mut s: u32 = 0;
-            let mut t: u32 = 0;
-            for (i, c) in blk.chunks_exact(2).enumerate() {
-                let w = c[0] as u32 | ((c[1] as u32) << 8);
-                s += w;
-                t += (BLOCK - i) as u32 * w;
-            }
-            self.b += BLOCK as u64 * self.a + t as u64;
-            self.a += s as u64;
-            self.any = true;
-            self.unfolded += BLOCK as u32;
-            if self.unfolded >= FOLD_EVERY {
-                self.fold();
-            }
-        }
-        let mut chunks = blocks.remainder().chunks_exact(2);
-        for c in &mut chunks {
-            self.word(c[0] as u16 | ((c[1] as u16) << 8));
-        }
-        if let [last] = chunks.remainder() {
-            self.pending = Some(*last);
-        }
-    }
-
-    /// Absorbs one little-endian 32-bit value (two words) — the
-    /// sample-copy fast path. Callers must be 2-byte aligned in the
-    /// stream (no pending odd byte).
-    #[inline(always)]
-    pub fn push_u32_le(&mut self, v: u32) {
-        debug_assert!(self.pending.is_none(), "push_u32_le on odd byte boundary");
-        self.word(v as u16);
-        self.word((v >> 16) as u16);
+        let (words, tail) = bytes.split_at(bytes.len() & !1);
+        (self.a, self.b) = absorb(self.a, self.b, words);
+        self.pending = tail.first().copied();
     }
 
     /// The Fletcher-32 of everything absorbed so far (odd tail
     /// zero-padded, exactly like [`checksum`]). Non-destructive.
     pub fn finish(&self) -> u32 {
-        let mut a = self.a;
-        let mut b = self.b;
+        let (mut a, mut b) = (self.a, self.b);
         if let Some(lo) = self.pending {
-            a += lo as u64;
-            b += a;
-        } else if !self.any {
-            return 0xffff_ffff; // checksum(&[]) never reduces its seeds
+            a = (a + u32::from(lo)) % 65535;
+            b = (b + a) % 65535;
         }
-        (((b % 65535) as u32) << 16) | (a % 65535) as u32
+        (b << 16) | a
+    }
+}
+
+/// Words per closed-form block.
+const BLOCK: usize = 32;
+/// Bytes per closed-form block.
+const BLOCK_BYTES: usize = 2 * BLOCK;
+/// Blocks summed in u32 lanes between modulo reductions. Lane `j` of
+/// `sb` in [`absorb_body`] ends at most `RUN·(RUN−1)/2 · 0xffff`:
+/// 2 139 062 400 < 2^32 for 256, while 512 would overflow.
+const RUN: usize = 256;
+
+/// Absorbs `words` (even length) into residues `(a, b)`, picking the
+/// AVX2 copy of [`absorb_body`] when the CPU has it.
+fn absorb(a: u32, b: u32, words: &[u8]) -> (u32, u32) {
+    #[cfg(target_arch = "x86_64")]
+    if words.len() >= BLOCK_BYTES {
+        if let Some(ab) = avx2::absorb(a, b, words) {
+            return ab;
+        }
+    }
+    absorb_body(a, b, words)
+}
+
+/// The Fletcher-32 block loop, compiled once portable (through
+/// [`absorb`]) and once under AVX2 (`avx2::absorb`).
+///
+/// Absorbing n words w₀..wₙ₋₁ from `(a, b)` by the recurrence gives
+/// `a + S` and `b + n·a + T`, with `S = Σ wᵢ` and `T = Σ (n−i)·wᵢ`
+/// before reduction (reduction is a ring homomorphism, so reducing
+/// once per run leaves both residues unchanged). `S` and `T` come
+/// from two arrays of u32 lanes, one per word position `j` of a
+/// [`BLOCK`]: per block `sb[j] += sa[j]; sa[j] += w`, after which
+/// `sa[j]` sums lane `j` and `sb[j]` weights block `k`'s word by the
+/// `K−1−k` blocks that follow it, so over K blocks (n = K·BLOCK)
+/// `T = BLOCK·Σ sb[j] + Σ (BLOCK−j)·sa[j]`. Unlike the serial
+/// `b += a += w` chain, every lane is independent, so the loop runs as
+/// packed 32-bit adds. The lane sums stay plain `+`, so a debug build
+/// traps if [`RUN`] ever outgrows the u32 bound.
+#[inline(always)]
+fn absorb_body(a: u32, b: u32, words: &[u8]) -> (u32, u32) {
+    debug_assert!(words.len() & 1 == 0, "absorb takes whole words");
+    let (mut a, mut b) = (u64::from(a), u64::from(b));
+    for run in words.chunks(BLOCK_BYTES * RUN) {
+        let mut blocks = run.chunks_exact(BLOCK_BYTES);
+        let mut sa = [0u32; BLOCK];
+        let mut sb = [0u32; BLOCK];
+        for blk in &mut blocks {
+            for (w, (x, y)) in blk.chunks_exact(2).zip(sa.iter_mut().zip(&mut sb)) {
+                *y += *x;
+                *x += u32::from(u16::from_le_bytes([w[0], w[1]]));
+            }
+        }
+        let (mut s, mut t) = (0u64, 0u64);
+        for (j, (&x, &y)) in sa.iter().zip(&sb).enumerate() {
+            s += u64::from(x);
+            t += BLOCK as u64 * u64::from(y) + (BLOCK - j) as u64 * u64::from(x);
+        }
+        b += (run.len() / BLOCK_BYTES * BLOCK) as u64 * a + t;
+        a += s;
+        for w in blocks.remainder().chunks_exact(2) {
+            a += u64::from(u16::from_le_bytes([w[0], w[1]]));
+            b += a;
+        }
+        a %= 65535;
+        b %= 65535;
+    }
+    (a as u32, b as u32)
+}
+
+/// The AVX2 copy of [`absorb_body`]: the same source compiled with
+/// 256-bit lanes, chosen at run time so one build serves every x86_64
+/// CPU.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2 {
+    /// [`super::absorb_body`] under AVX2, or `None` on a CPU without
+    /// it (the probe is a cached flag read).
+    pub(super) fn absorb(a: u32, b: u32, words: &[u8]) -> Option<(u32, u32)> {
+        if !is_x86_feature_detected!("avx2") {
+            return None;
+        }
+        // SAFETY: the only requirement of `absorb_avx2` is that the
+        // CPU supports AVX2, checked just above. The body is safe
+        // code, so it stays in bounds whatever instructions it
+        // compiles to.
+        Some(unsafe { absorb_avx2(a, b, words) })
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn absorb_avx2(a: u32, b: u32, words: &[u8]) -> (u32, u32) {
+        super::absorb_body(a, b, words)
     }
 }
 
@@ -905,11 +916,10 @@ pub fn encode_frame_into(frame: &Frame, seq: u32, buf: &mut Vec<u8>) {
 ///
 /// The hot-path frame types have dedicated encoders
 /// ([`encode_samples`](FrameBuf::encode_samples),
-/// [`encode_iq`](FrameBuf::encode_iq)) that fold the Fletcher-32
-/// payload checksum into the serialisation pass itself, so the payload
-/// bytes are walked exactly once; [`encode`](FrameBuf::encode) covers
-/// every frame type generically (control frames are tiny, so their
-/// separate checksum pass costs nothing).
+/// [`encode_iq`](FrameBuf::encode_iq)) that serialise from the caller's
+/// slice with no intermediate [`Frame`]; [`encode`](FrameBuf::encode)
+/// covers every frame type generically. All three checksum the
+/// finished payload with one [`checksum`] call.
 #[derive(Clone, Debug, Default)]
 pub struct FrameBuf {
     /// The sealed 20-byte frame header.
@@ -958,10 +968,12 @@ impl FrameBuf {
         self.seal(frame.type_byte(), seq, sum);
     }
 
-    /// Fused Samples encoder: serialises the batch and computes its
-    /// payload checksum in the same single pass over `samples` — the
-    /// serial Fletcher chain hides entirely under the copy latency.
-    /// Byte-identical to `encode(&Frame::Samples(..))`.
+    /// Samples encoder: copies the batch into the payload in bulk, then
+    /// checksums the span it just wrote, which is still in cache. The
+    /// block-vectorised [`Fletcher32`] makes the second pass cheaper
+    /// than a per-word checksum fused into the copy, whose serial
+    /// `b += a += w` chain bounds that loop. Byte-identical to
+    /// `encode(&Frame::Samples(..))`.
     pub fn encode_samples(&mut self, seq: u32, batch_index: u64, samples: &[i32]) {
         self.encode_samples_traced(seq, batch_index, samples, 0);
     }
@@ -980,26 +992,18 @@ impl FrameBuf {
         self.payload.reserve(21 + samples.len() * 4);
         put_u64(&mut self.payload, batch_index);
         put_u32(&mut self.payload, samples.len() as u32);
-        let mut acc = Fletcher32::new();
-        acc.update(&self.payload);
-        for &x in samples {
-            self.payload.extend_from_slice(&x.to_le_bytes());
-            acc.push_u32_le(x as u32);
-        }
+        self.payload
+            .extend(samples.iter().flat_map(|x| x.to_le_bytes()));
         if trace_id != 0 {
-            // The tag byte breaks u32-word alignment, so the trailer
-            // is absorbed bytewise.
-            let trailer_start = self.payload.len();
             self.payload.push(SAMPLES_TRACE_TAG);
             self.payload.extend_from_slice(&trace_id.to_le_bytes());
-            acc.update(&self.payload[trailer_start..]);
         }
-        self.seal(3, seq, acc.finish());
+        self.seal(3, seq, checksum(&self.payload));
     }
 
-    /// Fused Iq encoder: one pass over the output pairs. Byte-identical
-    /// to `encode(&Frame::Iq(..))`, including the optional trailing
-    /// timing and trace-echo extensions.
+    /// Iq encoder: serialises the output pairs, then checksums the
+    /// payload. Byte-identical to `encode(&Frame::Iq(..))`, including
+    /// the optional trailing timing and trace-echo extensions.
     pub fn encode_iq(
         &mut self,
         seq: u32,
@@ -1014,33 +1018,20 @@ impl FrameBuf {
         put_u64(&mut self.payload, batch_index);
         put_u64(&mut self.payload, dropped_total);
         put_u32(&mut self.payload, pairs.len() as u32);
-        let mut acc = Fletcher32::new();
-        acc.update(&self.payload);
         for p in pairs {
-            for v in [p.i, p.q] {
-                self.payload.extend_from_slice(&v.to_le_bytes());
-                let u = v as u64;
-                acc.push_u32_le(u as u32);
-                acc.push_u32_le((u >> 32) as u32);
-            }
+            put_u64(&mut self.payload, p.i as u64);
+            put_u64(&mut self.payload, p.q as u64);
         }
         if let Some(t) = timing {
-            // The tag byte breaks u32-word alignment, so the trailer
-            // is absorbed bytewise (update pairs odd boundaries up).
-            let trailer_start = self.payload.len();
             self.payload.push(IQ_TIMING_TAG);
-            self.payload
-                .extend_from_slice(&t.queue_wait_ns.to_le_bytes());
-            self.payload.extend_from_slice(&t.service_ns.to_le_bytes());
-            acc.update(&self.payload[trailer_start..]);
+            put_u64(&mut self.payload, t.queue_wait_ns);
+            put_u64(&mut self.payload, t.service_ns);
         }
         if trace_id != 0 {
-            let trailer_start = self.payload.len();
             self.payload.push(IQ_TRACE_TAG);
-            self.payload.extend_from_slice(&trace_id.to_le_bytes());
-            acc.update(&self.payload[trailer_start..]);
+            put_u64(&mut self.payload, trace_id);
         }
-        self.seal(4, seq, acc.finish());
+        self.seal(4, seq, checksum(&self.payload));
     }
 
     /// Writes the whole frame to a blocking writer with vectored
@@ -1415,12 +1406,15 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
     Ok(frame)
 }
 
-/// Zero-copy Samples decode: parses the payload prefix and then moves
-/// the sample words straight into `out` (appending), folding the
-/// Fletcher-32 verification into that same copy pass, so the payload
-/// is walked exactly once. `out` is typically a session's reusable
-/// farm-input scratch buffer, so the bytes go from the connection read
-/// buffer to the DSP input with no intermediate `Vec`.
+/// Zero-copy Samples decode: parses the payload prefix, copies the
+/// sample words in bulk straight into `out` (appending), then verifies
+/// the Fletcher-32 over the payload while it is still in cache. The
+/// block-vectorised [`Fletcher32`] makes that second pass cheaper than
+/// a per-word checksum fused into the copy, whose serial
+/// `b += a += w` chain bounds that loop. `out` is typically a
+/// session's reusable farm-input scratch buffer, so the bytes go from
+/// the connection read buffer to the DSP input with no intermediate
+/// `Vec`.
 ///
 /// Returns `(batch_index, trace_id)` (`trace_id` is 0 for untraced
 /// frames). On any error `out` is restored to its original length.
@@ -1462,29 +1456,23 @@ pub fn decode_samples_into(
         });
     };
     let batch_index = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let count = (sample_end - 12) / 4;
     let base = out.len();
-    out.reserve(count);
-    let mut acc = Fletcher32::new();
-    acc.update(&payload[..12]);
-    for chunk in payload[12..sample_end].chunks_exact(4) {
-        let v = u32::from_le_bytes(chunk.try_into().unwrap());
-        acc.push_u32_le(v);
-        out.push(v as i32);
-    }
-    let trace_id = if traced {
-        acc.update(&payload[sample_end..]);
-        let id = u64::from_le_bytes(payload[sample_end + 1..].try_into().unwrap());
-        // Tag and non-zero ID are structural; checked after the
-        // checksum verdict below, as for every other frame type.
-        id
-    } else {
-        0
-    };
-    if acc.finish() != header.payload_sum {
+    out.extend(
+        payload[12..sample_end]
+            .chunks_exact(4)
+            .map(|c| i32::from_le_bytes(c.try_into().unwrap())),
+    );
+    if checksum(payload) != header.payload_sum {
         out.truncate(base);
         return Err(WireError::PayloadChecksum);
     }
+    // Tag and non-zero ID are structural; checked after the checksum
+    // verdict, as for every other frame type.
+    let trace_id = if traced {
+        u64::from_le_bytes(payload[sample_end + 1..].try_into().unwrap())
+    } else {
+        0
+    };
     if traced && (payload[sample_end] != SAMPLES_TRACE_TAG || trace_id == 0) {
         out.truncate(base);
         if payload[sample_end] != SAMPLES_TRACE_TAG {
@@ -1851,17 +1839,74 @@ mod tests {
         }
     }
 
+    /// The per-word definition of Fletcher-32, reducing after every
+    /// word: the oracle the block kernel is checked against.
+    fn oracle(bytes: &[u8]) -> u32 {
+        let mut a: u32 = 0xffff;
+        let mut b: u32 = 0xffff;
+        for chunk in bytes.chunks(2) {
+            let lo = chunk[0] as u32;
+            let hi = chunk.get(1).copied().unwrap_or(0) as u32;
+            a = (a + (lo | (hi << 8))) % 65535;
+            b = (b + a) % 65535;
+        }
+        (b << 16) | a
+    }
+
+    /// Deterministic pseudo-random bytes.
+    fn noise(len: usize, seed: u32) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    type Body = fn(u32, u32, &[u8]) -> (u32, u32);
+
+    /// Every compiled copy of the block loop this host can run.
+    fn kernel_bodies() -> Vec<(&'static str, Body)> {
+        let mut bodies: Vec<(&'static str, Body)> = vec![("portable", absorb_body)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2::absorb(0, 0, &[]).is_some() {
+            bodies.push(("avx2", |a, b, words| {
+                avx2::absorb(a, b, words).expect("host has AVX2")
+            }));
+        }
+        bodies
+    }
+
+    /// Fletcher-32 of `bytes` through one kernel body, fed as two
+    /// `update` calls split at byte `cut`: an odd cut absorbs the
+    /// straddling word on its own, as [`Fletcher32::update`] does.
+    fn body_checksum(body: Body, bytes: &[u8], cut: usize) -> u32 {
+        let word = |a: u32, b: u32, lo: u8, hi: u8| {
+            let a = (a + u32::from(u16::from_le_bytes([lo, hi]))) % 65535;
+            (a, (b + a) % 65535)
+        };
+        let (mut a, mut b) = body(0xffff, 0xffff, &bytes[..cut & !1]);
+        let mut rest = &bytes[cut & !1..];
+        if cut % 2 == 1 && rest.len() >= 2 {
+            (a, b) = word(a, b, rest[0], rest[1]);
+            rest = &rest[2..];
+        }
+        let (words, tail) = rest.split_at(rest.len() & !1);
+        (a, b) = body(a, b, words);
+        if let [lo] = tail {
+            (a, b) = word(a, b, *lo, 0);
+        }
+        (b << 16) | a
+    }
+
     #[test]
     fn incremental_fletcher_matches_reference_at_any_split() {
-        // Deterministic pseudo-random bytes, odd and even lengths.
-        let mut state = 0x1234_5678u32;
-        let mut next = move || {
-            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-            (state >> 24) as u8
-        };
+        assert_eq!(checksum(&[]), 0xffff_ffff);
+        assert_eq!(Fletcher32::new().finish(), 0xffff_ffff);
         for len in [0usize, 1, 2, 3, 7, 64, 65, 2047, 4096, 5000] {
-            let bytes: Vec<u8> = (0..len).map(|_| next()).collect();
-            let want = checksum(&bytes);
+            let bytes = noise(len, 0x1234_5678);
+            let want = oracle(&bytes);
             // one shot
             let mut acc = Fletcher32::new();
             acc.update(&bytes);
@@ -1884,15 +1929,122 @@ mod tests {
     }
 
     #[test]
-    fn incremental_fletcher_u32_push_matches_bytes() {
+    fn incremental_fletcher_u32_aligned_updates_match_oracle() {
         let values = [0u32, 1, 0xffff, 0x1_0000, u32::MAX, 0xDEAD_BEEF];
         let mut bytes = Vec::new();
         let mut acc = Fletcher32::new();
         for &v in &values {
             bytes.extend_from_slice(&v.to_le_bytes());
-            acc.push_u32_le(v);
+            acc.update(&v.to_le_bytes());
+            assert_eq!(acc.finish(), oracle(&bytes), "after {v:#x}");
         }
-        assert_eq!(acc.finish(), checksum(&bytes));
+    }
+
+    #[test]
+    fn fletcher_kernel_bodies_match_oracle_at_every_split() {
+        let run_bytes = BLOCK_BYTES * RUN;
+        for len in [
+            130,
+            131,
+            4 * BLOCK_BYTES + 7,
+            run_bytes + 130,
+            2 * run_bytes + 131,
+        ] {
+            let bytes = noise(len, len as u32);
+            let want = oracle(&bytes);
+            for (name, body) in kernel_bodies() {
+                for cut in 0..=130 {
+                    assert_eq!(
+                        body_checksum(body, &bytes, cut),
+                        want,
+                        "{name} body, len {len}, cut {cut}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fletcher_kernel_bodies_hold_lane_bounds_on_all_ones() {
+        // 0xffff words drive every u32 lane to its largest value (a
+        // debug build traps on overflow). 0xffff ≡ 0 (mod 65535), so
+        // all-ones alone sums to zero; the holed copies make a dropped
+        // or misweighted word change the result.
+        let run_bytes = BLOCK_BYTES * RUN;
+        for len in [
+            run_bytes,
+            run_bytes + 2,
+            3 * run_bytes + 33,
+            MAX_PAYLOAD as usize,
+        ] {
+            let ones = vec![0xffu8; len];
+            let mut holed = ones.clone();
+            for (k, b) in holed.iter_mut().enumerate() {
+                if k % 4099 == 17 {
+                    *b = k as u8;
+                }
+            }
+            for bytes in [ones, holed] {
+                let want = oracle(&bytes);
+                for (name, body) in kernel_bodies() {
+                    assert_eq!(
+                        body_checksum(body, &bytes, 0),
+                        want,
+                        "{name} body, len {len}"
+                    );
+                }
+                assert_eq!(checksum(&bytes), want, "dispatched checksum, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn max_payload_checksum_matches_oracle_on_both_bodies() {
+        let bytes = noise(MAX_PAYLOAD as usize, 0xC0DE);
+        let want = oracle(&bytes);
+        for (name, body) in kernel_bodies() {
+            assert_eq!(body_checksum(body, &bytes, 0), want, "{name} body");
+            assert_eq!(body_checksum(body, &bytes, 99), want, "{name} body, cut 99");
+        }
+        assert_eq!(checksum(&bytes), want);
+    }
+
+    #[test]
+    fn encoded_frame_checksums_equal_the_oracle() {
+        let check = |fb: &FrameBuf, what: &str| {
+            let payload_sum = u32::from_le_bytes(fb.header[12..16].try_into().unwrap());
+            let header_sum = u32::from_le_bytes(fb.header[16..20].try_into().unwrap());
+            assert_eq!(payload_sum, oracle(&fb.payload), "{what} payload sum");
+            assert_eq!(header_sum, oracle(&fb.header[..16]), "{what} header sum");
+        };
+        for n in [0usize, 1, 7, 8, 31, 2688, 21504] {
+            let samples: Vec<i32> = (0..n)
+                .map(|k| (k as i32).wrapping_mul(-40503) ^ i32::MIN)
+                .collect();
+            for trace_id in [0u64, 0x8000_0000_0000_0042] {
+                let mut fb = FrameBuf::new();
+                fb.encode_samples_traced(11, 5, &samples, trace_id);
+                check(&fb, &format!("samples n={n} trace={trace_id:#x}"));
+                let h = decode_header(&fb.header).expect("valid header");
+                let mut out = Vec::new();
+                assert_eq!(
+                    decode_samples_into(&h, &fb.payload, &mut out),
+                    Ok((5, trace_id))
+                );
+                assert_eq!(out, samples);
+            }
+        }
+        let pairs: Vec<ddc_core::mixer::Iq> = (0..9i64)
+            .map(|k| ddc_core::mixer::Iq {
+                i: k * 0x0123_4567_89ab,
+                q: -k,
+            })
+            .collect();
+        let mut fb = FrameBuf::new();
+        fb.encode_iq(2, 3, 4, &pairs, None, 7);
+        check(&fb, "iq");
+        fb.encode(&Frame::Shutdown, 8);
+        check(&fb, "shutdown");
     }
 
     #[test]

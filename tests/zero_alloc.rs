@@ -233,3 +233,37 @@ fn histogram_record_and_event_ring_push_do_not_allocate() {
     assert!(!events.is_empty());
     assert_eq!(ring.dropped() + events.len() as u64, 10_001);
 }
+
+#[test]
+fn samples_codec_is_allocation_free_in_steady_state() {
+    use ddc_server::wire::{decode_header, decode_samples_into, FrameBuf};
+
+    let samples: Vec<i32> = (0..21_504).map(|k| (k * 40_503) ^ (k << 7)).collect();
+    let mut fb = FrameBuf::new();
+    let mut scratch: Vec<i32> = Vec::new();
+    // Warm-up at the largest batch and trailer: sizes both buffers.
+    fb.encode_samples_traced(0, 0, &samples, 1);
+    let h = decode_header(&fb.header).expect("valid header");
+    decode_samples_into(&h, &fb.payload, &mut scratch).expect("valid payload");
+
+    let allocs = allocations_during(|| {
+        for k in 0..64u32 {
+            let batch = &samples[..samples.len() - (k as usize % 8) * 1000];
+            if k % 2 == 0 {
+                fb.encode_samples(k, u64::from(k), batch);
+            } else {
+                fb.encode_samples_traced(k, u64::from(k), batch, u64::from(k));
+            }
+            let h = decode_header(&fb.header).expect("valid header");
+            scratch.clear();
+            let (index, _) =
+                decode_samples_into(&h, &fb.payload, &mut scratch).expect("valid payload");
+            assert_eq!(index, u64::from(k));
+            assert_eq!(scratch.len(), batch.len());
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "samples encode/decode allocated {allocs} time(s)"
+    );
+}
