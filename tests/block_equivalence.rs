@@ -179,14 +179,17 @@ proptest! {
     /// Fused front end: the single-pass NCO→mixer→CIC1 kernel equals
     /// the staged per-sample chain for any tuning word, CIC order (the
     /// order-2 case exercises the fused fast path, other orders the
-    /// fallback), decimation and chunking of the input.
+    /// fallback), decimation and chunking of the input. The AVX2 body
+    /// runs eight decimation groups as one tile once a block has `8r`
+    /// words left from a group boundary, so inputs reach a few tiles of
+    /// the largest decimation and chunks reach `8r + 16` of it.
     #[test]
     fn fused_front_end_equals_staged(
         word in any::<u32>(),
         order in 1u32..=5,
-        decim in 1u32..=24,
-        input in prop::collection::vec(-2048i32..=2047, 0..500),
-        chunk in 1usize..97,
+        decim in 1u32..=72,
+        input in prop::collection::vec(-2048i32..=2047, 0..2400),
+        chunk in 1usize..=8 * 72 + 16,
     ) {
         let mut nco = LutNco::new(word, 10, 12);
         let mixer = FixedMixer::new(12, 12);
@@ -341,6 +344,46 @@ proptest! {
         for (k, (a, b)) in got.iter().zip(&expect).enumerate() {
             prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "I diverged at {}", k);
             prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "Q diverged at {}", k);
+        }
+    }
+}
+
+/// ADC words are not range-checked upstream (the server accepts any
+/// `i32`), so the block path must give the per-sample answer for words
+/// outside `data_bits` as well, whichever front-end body the CPU selects.
+/// Hostile words sit in the first blocks; the later blocks are clean, so
+/// both outcomes of the AVX2 body's input-range check run.
+#[test]
+fn fixed_ddc_block_equals_per_sample_for_out_of_range_words() {
+    for cfg in [DdcConfig::drm(10.7e6), DdcConfig::drm_montium(10.7e6)] {
+        let db = cfg.format.data_bits;
+        let top = (1i32 << (db - 1)) - 1;
+        let bot = -(1i32 << (db - 1));
+        let hostile = [i32::MIN, i32::MAX, 1 << 22, -(1 << 22), top + 1, bot - 1];
+        let mut seed = 0x2545_f491_u32;
+        let mut input: Vec<i32> = (0..4 * 10_752)
+            .map(|_| {
+                seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                bot + (seed >> 8) as i32 % (top - bot + 1)
+            })
+            .collect();
+        for k in 0..240 {
+            input[k * 53] = hostile[k % hostile.len()];
+        }
+        let mut per_sample = FixedDdc::new(cfg.clone());
+        let mut expect = Vec::new();
+        for &x in &input {
+            if let Some(z) = per_sample.process(i64::from(x)) {
+                expect.push(z);
+            }
+        }
+        for chunk in [5376, 21_504] {
+            let mut blocked = FixedDdc::new(cfg.clone());
+            let mut got = Vec::new();
+            for piece in input.chunks(chunk) {
+                blocked.process_into(piece, &mut got);
+            }
+            assert_eq!(got, expect, "{db}-bit bus, {chunk}-word blocks");
         }
     }
 }
